@@ -22,9 +22,9 @@ Decisions are a deterministic function of the window stream: the
 controller is a hysteresis state machine (consecutive-window streaks,
 post-change cooldown) with a replayable decision log, so a run is
 bit-reproducible — and, because rate changes land only at window
-boundaries, the per-packet reference loop and the chunked
-:mod:`repro.fastpath` kernels produce *identical* decision logs and
-keep/skip streams (pinned by ``tests/adaptive``).
+boundaries, the per-packet reference loop (``offer``) and the chunked
+path (``keep_mask``) produce *identical* decision logs and keep/skip
+streams (pinned by ``tests/adaptive``).
 
 Surfaced by the ``repro-traffic adapt`` CLI subcommand; see
 ``examples/adaptive_sampling.py`` for library use.

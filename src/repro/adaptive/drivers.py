@@ -16,24 +16,21 @@ window, the controller judges each closed window, and any applied
 change re-keys the selector — so the first packet of a window is
 already sampled at that window's rate, in both execution paths.
 
-Re-keying preserves each selector's natural state across the change,
-with the same arithmetic on the streaming sampler and its fast-path
-kernel twin:
+Re-keying is the selector's own ``rekey``, one state change whichever
+path feeds it (:mod:`repro.core.sampling.streaming`):
 
 * systematic — the countdown to the next keep is carried modulo the
-  new k (phase continuity, as :class:`~repro.core.sampling.adaptive.
-  AdaptiveSystematic` does between intervals);
+  new k (phase continuity);
 * stratified — the in-progress bucket is abandoned and a fresh
   k'-bucket starts at the boundary, drawing its keep offset with one
-  ``Generator.integers`` call from the selector's own generator (the
-  same single draw in both paths, so the RNG stream stays aligned);
+  ``Generator.integers`` call from the selector's own generator;
 * timer — the period is re-derived as ``unit_period_us * k'`` while
   the pending scheduled firing stands, so the firing grid bends
   without a discontinuity.
 
-Because the chunked path splits chunks at window boundaries and the
-kernels' chunk algebra is exact within a window, the decision log and
-the keep/skip stream are bit-identical between ``fastpath`` on and off,
+Because the chunked path splits chunks at window boundaries and
+``keep_mask`` is exact within a window, the decision log and the
+keep/skip stream are bit-identical between ``fastpath`` on and off,
 under any chunking — pinned by ``tests/adaptive``.
 """
 
@@ -44,19 +41,12 @@ import numpy as np
 
 from repro.adaptive.controller import AdaptiveController, Decision
 from repro.core.sampling.streaming import (
-    StreamingSampler,
     StreamingStratified,
     StreamingSystematic,
     StreamingTimerSystematic,
 )
 from repro.core.metrics.phi import phi_coefficient
 from repro.fastpath.monitor import observe_chunk
-from repro.fastpath.selectors import (
-    StratifiedKernel,
-    SystematicKernel,
-    TimerKernel,
-    chunk_kernel_for,
-)
 from repro.obs.live.monitor import QualityMonitor, WindowStats
 from repro.trace.trace import Trace
 
@@ -65,13 +55,13 @@ __all__ = [
     "AdaptiveRunResult",
     "T3BudgetDriver",
     "make_selector",
-    "rekey",
     "run_adaptive",
 ]
 
-#: Either representation of a streaming selector.
-AnySelector = Union[
-    StreamingSampler, SystematicKernel, StratifiedKernel, TimerKernel
+#: The streaming selectors the loop can drive (each has ``offer``,
+#: ``keep_mask`` and ``rekey``).
+Selector = Union[
+    StreamingSystematic, StreamingStratified, StreamingTimerSystematic
 ]
 
 
@@ -81,14 +71,14 @@ def make_selector(
     seed: int = 0,
     phase: int = 0,
     unit_period_us: float = 0.0,
-) -> StreamingSampler:
+) -> Selector:
     """A streaming selector for ``method`` at ``granularity``.
 
     ``unit_period_us`` is the timer period per unit granularity (the
     mean interarrival, typically); required for ``timer-systematic``.
     """
     if method == "systematic":
-        return StreamingSystematic(granularity, phase=min(phase, granularity - 1))
+        return StreamingSystematic(granularity, phase=phase)
     if method == "stratified":
         return StreamingStratified(
             granularity, rng=np.random.default_rng(seed)
@@ -100,46 +90,6 @@ def make_selector(
             )
         return StreamingTimerSystematic(period_us=unit_period_us * granularity)
     raise ValueError("unknown streaming method %r" % method)
-
-
-def rekey(
-    selector: AnySelector, granularity: int, unit_period_us: float = 0.0
-) -> None:
-    """Re-key a live selector to ``granularity`` at a window boundary.
-
-    Works identically on a streaming sampler and on its fast-path
-    kernel twin — same state transformation, same (single) RNG draw —
-    which is what keeps the two execution paths differentially
-    identical across rate changes.
-    """
-    if granularity < 1:
-        raise ValueError("granularity must be >= 1, got %d" % granularity)
-    if isinstance(selector, StreamingSystematic):
-        selector._countdown %= granularity
-        selector.granularity = granularity
-    elif isinstance(selector, SystematicKernel):
-        selector.countdown %= granularity
-        selector.granularity = granularity
-    elif isinstance(selector, StreamingStratified):
-        selector.granularity = granularity
-        selector._position = 0
-        selector._keep_offset = int(selector._rng.integers(0, granularity))
-    elif isinstance(selector, StratifiedKernel):
-        selector.granularity = granularity
-        selector.position = 0
-        selector.keep_offset = int(selector.rng.integers(0, granularity))
-    elif isinstance(selector, StreamingTimerSystematic):
-        if unit_period_us <= 0:
-            raise ValueError("timer re-key needs a positive unit period")
-        selector.period_us = unit_period_us * granularity
-    elif isinstance(selector, TimerKernel):
-        if unit_period_us <= 0:
-            raise ValueError("timer re-key needs a positive unit period")
-        selector.period_us = unit_period_us * granularity
-    else:
-        raise TypeError(
-            "cannot re-key selector of type %s" % type(selector).__name__
-        )
 
 
 class AdaptivePipeline:
@@ -159,10 +109,6 @@ class AdaptivePipeline:
         ``seed`` determine the selector's starting state.
     monitor:
         The live quality monitor producing the feedback windows.
-    fastpath:
-        When true, selection runs on the chunk kernels (chunks are
-        split at window boundaries internally); when false, the
-        per-packet streaming reference.
     phase, unit_period_us:
         Selector extras (systematic phase offset; timer period per
         unit granularity — defaulted by :func:`run_adaptive` to the
@@ -180,7 +126,6 @@ class AdaptivePipeline:
         method: str,
         controller: AdaptiveController,
         monitor: QualityMonitor,
-        fastpath: bool = True,
         phase: int = 0,
         unit_period_us: float = 0.0,
         obs: Any = None,
@@ -194,25 +139,13 @@ class AdaptivePipeline:
         self.obs = obs
         self.on_window = on_window
         self.on_decision = on_decision
-        streaming = make_selector(
+        self.selector = make_selector(
             method,
             controller.granularity,
             seed=controller.config.seed,
             phase=phase,
             unit_period_us=unit_period_us,
         )
-        self.selector: AnySelector = streaming
-        if fastpath:
-            kernel = chunk_kernel_for(streaming)
-            if kernel is None:
-                raise ValueError(
-                    "method %r has no chunk kernel" % method
-                )
-            # The kernel adopts the streaming sampler's state (and,
-            # for stratified, its generator), so both paths start from
-            # the identical construction-time draw.
-            self.selector = kernel  # type: ignore[assignment]
-        self.fastpath = fastpath
         self.offered = 0
         self.kept = 0
 
@@ -234,8 +167,7 @@ class AdaptivePipeline:
                 if decision.granularity_after < decision.granularity_before
                 else "adaptive_steps_coarser"
             ).inc()
-            rekey(
-                self.selector,
+            self.selector.rekey(
                 decision.granularity_after,
                 unit_period_us=self.unit_period_us,
             )
@@ -253,7 +185,6 @@ class AdaptivePipeline:
         """Offer one packet under the rate its window prescribes."""
         for stats in self.monitor.advance_to(timestamp_us):
             self._window_closed(stats)
-        assert isinstance(self.selector, StreamingSampler)
         kept = self.selector.offer(int(timestamp_us))
         self.monitor.observe(int(timestamp_us), float(size), kept)
         self.offered += 1
@@ -281,7 +212,7 @@ class AdaptivePipeline:
             hi = int(segment_starts[s + 1])
             for stats in self.monitor.advance_to(int(arrivals[lo])):
                 self._window_closed(stats)
-            mask = self.selector.keep_mask(arrivals[lo:hi])  # type: ignore[union-attr]
+            mask = self.selector.keep_mask(arrivals[lo:hi])
             observe_chunk(self.monitor, arrivals[lo:hi], sizes[lo:hi], mask)
             self.kept += int(np.count_nonzero(mask))
         self.offered += n
@@ -374,11 +305,11 @@ def run_adaptive(
 ) -> AdaptiveRunResult:
     """One closed-loop pass over a trace; the library entry point.
 
-    ``fastpath`` switches between the chunked kernels and the
-    per-packet reference; the result — decisions, windows, keep
-    counts, store metrics — is bit-identical either way.  For
-    ``timer-systematic`` the unit period defaults to the trace's mean
-    interarrival, so granularity k means a period of k mean gaps.
+    ``fastpath`` switches between the chunked ``keep_mask`` path and
+    the per-packet ``offer`` reference; the result — decisions,
+    windows, keep counts, store metrics — is bit-identical either way.
+    For ``timer-systematic`` the unit period defaults to the trace's
+    mean interarrival, so granularity k means a period of k mean gaps.
     """
     if method == "timer-systematic" and unit_period_us <= 0:
         if len(trace) < 2:
@@ -399,7 +330,6 @@ def run_adaptive(
         method,
         controller,
         monitor,
-        fastpath=fastpath,
         phase=phase,
         unit_period_us=unit_period_us,
         obs=obs,

@@ -11,9 +11,10 @@ This package re-expresses that pipeline over :class:`~repro.trace.Trace`
 *chunks* (the columnar numpy layout :func:`~repro.trace.pcap.iter_pcap`
 already yields) as O(chunk) numpy kernels:
 
-* :mod:`repro.fastpath.selectors` — keep-mask kernels for the three
-  streaming selectors, with counter/bucket/timer state carried across
-  chunk boundaries in small dataclasses;
+* selection — each selector in :mod:`repro.core.sampling.streaming`
+  decides a whole chunk with its own ``keep_mask``, over the state its
+  per-packet ``offer`` carries; :func:`chunk_kernel_for` returns the
+  selector itself (``None`` for the reservoir);
 * :mod:`repro.fastpath.flows` — a vectorized flow-accounting kernel
   (packed-integer 5-tuple grouping, segmented idle-expiry
   reconstruction) feeding :class:`~repro.flows.table.FlowTable`-
@@ -42,24 +43,16 @@ from repro.fastpath.flows import (
 from repro.fastpath.monitor import observe_chunk
 from repro.fastpath.pipeline import (
     DEFAULT_CHUNK_PACKETS,
+    ChunkSelector,
+    chunk_kernel_for,
     iter_trace_chunks,
     run_monitor,
-)
-from repro.fastpath.selectors import (
-    ChunkSelector,
-    StratifiedKernel,
-    SystematicKernel,
-    TimerKernel,
-    chunk_kernel_for,
 )
 
 __all__ = [
     "ChunkSelector",
     "DEFAULT_CHUNK_PACKETS",
     "FlowAccountantKernel",
-    "StratifiedKernel",
-    "SystematicKernel",
-    "TimerKernel",
     "account_chunk",
     "chunk_kernel_for",
     "encode_flow_keys",

@@ -3,29 +3,65 @@
 The glue between the kernels: split an in-memory
 :class:`~repro.trace.Trace` into bounded chunks (zero-copy column
 views, the same shape :func:`~repro.trace.pcap.iter_pcap` yields
-straight off disk), drive a selector kernel for the keep mask, and feed
-the mask to the live quality monitor — and optionally a flow-accounting
-kernel — chunk by chunk.  ``repro-traffic monitor --fastpath`` and the
-``flows`` subcommand run on this path; ``--fastpath off`` keeps the
-per-packet loop as the executable reference.
+straight off disk), ask the streaming selector for each chunk's keep
+mask, and feed the mask to the live quality monitor — and optionally a
+flow-accounting kernel — chunk by chunk.  ``repro-traffic monitor
+--fastpath`` and the ``flows`` subcommand run on this path;
+``--fastpath off`` keeps the per-packet loop as the executable
+reference.
 """
 
-from typing import Callable, Iterable, Iterator, Optional
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    Optional,
+    Protocol,
+    runtime_checkable,
+)
 
 import numpy as np
 
+from repro.core.sampling.streaming import StreamingSampler
 from repro.fastpath.flows import FlowAccountantKernel
 from repro.fastpath.monitor import observe_chunk
-from repro.fastpath.selectors import ChunkSelector
 from repro.obs.live.monitor import QualityMonitor, WindowStats
 from repro.trace.trace import Trace
 
-__all__ = ["DEFAULT_CHUNK_PACKETS", "iter_trace_chunks", "run_monitor"]
+__all__ = [
+    "ChunkSelector",
+    "DEFAULT_CHUNK_PACKETS",
+    "chunk_kernel_for",
+    "iter_trace_chunks",
+    "run_monitor",
+]
 
 #: Packets per chunk for in-memory traces: large enough to amortize
 #: per-chunk numpy overhead, small enough that chunk scratch stays in
 #: cache-friendly territory (~1.5 MB of columns).
 DEFAULT_CHUNK_PACKETS = 65_536
+
+
+@runtime_checkable
+class ChunkSelector(Protocol):
+    """A selector that decides a whole chunk of arrivals at once.
+
+    The systematic, stratified and timer selectors of
+    :mod:`repro.core.sampling.streaming` implement it.
+    """
+
+    def keep_mask(self, timestamps_us: np.ndarray) -> np.ndarray:
+        """Boolean keep/skip vector for the next chunk of arrivals."""
+        ...
+
+
+def chunk_kernel_for(sampler: StreamingSampler) -> Optional[ChunkSelector]:
+    """``sampler`` itself if it has ``keep_mask``, else ``None``.
+
+    The reservoir revises past picks, so it has no chunk path; callers
+    stay on its per-packet ``offer``.
+    """
+    return sampler if isinstance(sampler, ChunkSelector) else None
 
 
 def iter_trace_chunks(
@@ -54,7 +90,7 @@ def run_monitor(
 ) -> int:
     """Drive the fast monitored pipeline over a chunk stream.
 
-    For each chunk: one keep-mask kernel call, one monitor bulk fold
+    For each chunk: one ``keep_mask`` call, one monitor bulk fold
     (plus one flow-accounting fold when ``accountant`` is given), with
     ``on_window`` invoked per closed window in close order — the exact
     event sequence of the per-packet loop.  Returns the number of

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.sampling.streaming import StreamingSystematic
 from repro.netmon.objects import StatisticalObject, t3_object_set
 from repro.trace.trace import Trace
 
@@ -26,26 +27,21 @@ from repro.trace.trace import Trace
 T3_SAMPLING_GRANULARITY = 50
 
 
-class Subsystem:
-    """One interface card's firmware packet selector."""
+class Subsystem(StreamingSystematic):
+    """One interface card's firmware packet selector.
+
+    Every granularity-th packet, the count carried from one batch to
+    the next: the streaming systematic selector, one batch at a time.
+    """
 
     def __init__(self, granularity: int) -> None:
-        if granularity < 1:
-            raise ValueError("granularity must be >= 1")
-        self.granularity = granularity
-        self._phase = 0
+        super().__init__(granularity)
         self.forwarded_packets = 0
 
     def select(self, batch: Trace) -> Trace:
-        """Every granularity-th packet, phase carried across batches."""
-        if self.granularity == 1:
-            selected = batch
-            self._phase = 0
-        else:
-            idx = np.arange(self._phase, len(batch), self.granularity)
-            selected = batch.select(idx.astype(np.int64))
-            consumed = len(batch) - self._phase
-            self._phase = (-consumed) % self.granularity
+        """The batch's selected packets, phase carried across batches."""
+        mask = self.keep_mask(batch.timestamps_us)
+        selected = batch.select(np.flatnonzero(mask))
         self.forwarded_packets += len(selected)
         return selected
 

@@ -16,8 +16,7 @@ the examination load by the same factor.
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
+from repro.netmon.arts import Subsystem
 from repro.netmon.objects import StatisticalObject, t1_object_set
 from repro.trace.trace import Trace
 
@@ -45,14 +44,12 @@ class NNStatCollector:
     ) -> None:
         if capacity_pps < 1:
             raise ValueError("capacity must be at least 1 packet/s")
-        if sampling_granularity < 1:
-            raise ValueError("sampling granularity must be >= 1")
         self.capacity_pps = capacity_pps
         self.sampling_granularity = sampling_granularity
+        self.firmware = Subsystem(sampling_granularity)
         self.objects = objects if objects is not None else t1_object_set()
         self.examined_packets = 0
         self.dropped_packets = 0
-        self._phase = 0
 
     def process_second(self, batch: Trace) -> None:
         """Feed one second of nodal traffic to the collector.
@@ -63,14 +60,7 @@ class NNStatCollector:
         packets are the tail — the processor falls behind and never
         catches up before the next second's arrivals.
         """
-        selected = batch
-        if self.sampling_granularity > 1:
-            idx = np.arange(self._phase, len(batch), self.sampling_granularity)
-            selected = batch.select(idx.astype(np.int64))
-            consumed = len(batch) - self._phase
-            self._phase = (
-                -consumed
-            ) % self.sampling_granularity  # carry phase across seconds
+        selected = self.firmware.select(batch)
         examined = selected
         if len(selected) > self.capacity_pps:
             examined = selected.slice_packets(0, self.capacity_pps)

@@ -151,16 +151,12 @@ class T3Node:
         """Re-key every subsystem's firmware selector to 1-in-k.
 
         Applied between seconds by the adaptive budget driver; each
-        subsystem's selection phase is carried modulo the new k, the
-        same continuity rule the streaming selectors use at quality-
-        window boundaries.
+        subsystem is re-keyed as the streaming selectors are at
+        quality-window boundaries, its phase carried modulo the new k.
         """
-        if granularity < 1:
-            raise ValueError("granularity must be >= 1, got %d" % granularity)
-        self.granularity = granularity
         for iface in self.interfaces.values():
-            iface.subsystem.granularity = granularity
-            iface.subsystem._phase %= granularity
+            iface.subsystem.rekey(granularity)
+        self.granularity = granularity
 
     def snmp_total_packets(self) -> int:
         """Forwarding-path packet total across all interfaces."""

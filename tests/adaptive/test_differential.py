@@ -133,7 +133,6 @@ class TestResume:
             method,
             controller,
             monitor,
-            fastpath=True,
             unit_period_us=unit_period if method == "timer-systematic" else 0.0,
         )
         chunks = list(iter_trace_chunks(bursty_trace, 8192))

@@ -1,10 +1,10 @@
-"""Differential parity battery: chunk kernels vs per-packet offer().
+"""Differential parity battery: keep_mask() chunks vs per-packet offer().
 
 The fast path's contract is *bit identity*: for every selector, any
 chunking of the arrival stream (size-1 chunks, one whole-trace chunk,
 arbitrary ragged splits) must produce exactly the keep/skip stream the
-per-packet streaming sampler produces, and leave the kernel holding the
-same state.  Hypothesis drives the chunking-invariance properties;
+per-packet ``offer`` produces, and leave the selector holding the same
+state.  Hypothesis drives the chunking-invariance properties;
 fixed cases pin the boundary placements that historically break
 chunked reimplementations (chunk edge on a bucket edge, timer firing
 exactly at a chunk's first arrival, empty chunks).
@@ -12,7 +12,7 @@ exactly at a chunk's first arrival, empty chunks).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.sampling.streaming import (
@@ -23,15 +23,12 @@ from repro.core.sampling.streaming import (
 )
 from repro.core.sampling.systematic import SystematicSampler
 from repro.core.sampling.timer import TimerSystematicSampler
-from repro.fastpath import (
-    StratifiedKernel,
-    SystematicKernel,
-    TimerKernel,
-    chunk_kernel_for,
-)
-from repro.trace.trace import Trace
+from repro.fastpath import chunk_kernel_for
 
 KINDS = ("systematic", "stratified", "timer")
+
+#: Timer period per unit granularity for re-keys (the timer's k').
+UNIT_PERIOD_US = 250.0
 
 
 def make_streaming(kind: str, seed: int = 0):
@@ -78,15 +75,15 @@ def kernel_decisions(kernel, ts: np.ndarray, chunk_sizes) -> np.ndarray:
 def assert_same_state(kind: str, sampler, kernel) -> None:
     """The kernel must hold the streaming sampler's exact state."""
     if kind == "systematic":
-        assert kernel.countdown == sampler._countdown
+        assert kernel.countdown == sampler.countdown
     elif kind == "stratified":
-        assert kernel.position == sampler._position
-        assert kernel.keep_offset == sampler._keep_offset
+        assert kernel.position == sampler.position
+        assert kernel.keep_offset == sampler.keep_offset
         # Both generators must have consumed the same bit stream.
         probe = int(kernel.rng.integers(0, 1 << 30))
-        assert probe == int(sampler._rng.integers(0, 1 << 30))
+        assert probe == int(sampler.rng.integers(0, 1 << 30))
     else:
-        assert kernel.next_firing == sampler._next_firing
+        assert kernel.next_firing == sampler.next_firing
 
 
 class TestChunkingInvariance:
@@ -163,7 +160,7 @@ class TestBoundaryPlacements:
 
     def test_systematic_chunk_edge_on_keep(self):
         # Chunks of exactly k packets: every chunk keeps its first slot.
-        kernel = SystematicKernel.start(granularity=8, phase=0)
+        kernel = StreamingSystematic(granularity=8, phase=0)
         ts = arrivals(64, seed=1)
         for chunk in split(ts, [8] * 8):
             mask = kernel.keep_mask(chunk)
@@ -172,7 +169,7 @@ class TestBoundaryPlacements:
     def test_stratified_chunk_edge_on_bucket_edge(self):
         k = 10
         reference = StreamingStratified(k, rng=np.random.default_rng(7))
-        kernel = StratifiedKernel.start(k, rng=np.random.default_rng(7))
+        kernel = StreamingStratified(k, rng=np.random.default_rng(7))
         ts = arrivals(120, seed=7)
         expected = offer_decisions(reference, ts)
         actual = kernel_decisions(kernel, ts, [k] * 12)
@@ -182,22 +179,22 @@ class TestBoundaryPlacements:
 
     def test_timer_firing_at_chunk_first_arrival(self):
         # Deadline falls exactly on the first arrival of chunk 2.
-        kernel = TimerKernel.start(period_us=1000.0)
+        kernel = StreamingTimerSystematic(period_us=1000.0)
         reference = StreamingTimerSystematic(period_us=1000.0)
         ts = np.asarray([0, 400, 800, 1000, 1400, 2000], dtype=np.int64)
         expected = offer_decisions(reference, ts)
         actual = kernel_decisions(kernel, ts, [3, 3])
         assert np.array_equal(actual, expected)
-        assert kernel.next_firing == reference._next_firing
+        assert kernel.next_firing == reference.next_firing
 
     def test_timer_long_silence_collapses_to_one_keep(self):
-        kernel = TimerKernel.start(period_us=100.0)
+        kernel = StreamingTimerSystematic(period_us=100.0)
         reference = StreamingTimerSystematic(period_us=100.0)
         ts = np.asarray([0, 50, 1_000_000, 1_000_010], dtype=np.int64)
         expected = offer_decisions(reference, ts)
         actual = kernel_decisions(kernel, ts, [2])
         assert np.array_equal(actual, expected)
-        assert kernel.next_firing == reference._next_firing
+        assert kernel.next_firing == reference.next_firing
 
 
 class TestBatchAgreement:
@@ -214,7 +211,7 @@ class TestBatchAgreement:
         batch = SystematicSampler(granularity=k, phase=phase).sample_indices(
             minute_trace
         )
-        kernel = SystematicKernel.start(granularity=k, phase=phase)
+        kernel = StreamingSystematic(granularity=k, phase=phase)
         mask = kernel_decisions(
             kernel, minute_trace.timestamps_us, [3000] * 9
         )
@@ -225,7 +222,7 @@ class TestBatchAgreement:
         batch = TimerSystematicSampler(period_us=period).sample_indices(
             minute_trace
         )
-        kernel = TimerKernel.start(period_us=period)
+        kernel = StreamingTimerSystematic(period_us=period)
         mask = kernel_decisions(
             kernel, minute_trace.timestamps_us, [1000] * 30
         )
@@ -233,31 +230,68 @@ class TestBatchAgreement:
 
 
 class TestKernelFactory:
-    def test_adopts_mid_stream_state(self):
-        # Offer half the stream per packet, hand over to the kernel,
-        # finish chunked: the joint decision stream must match a pure
-        # per-packet run.
-        ts = arrivals(200, seed=11)
-        for kind in KINDS:
-            reference = make_streaming(kind, seed=11)
-            subject = make_streaming(kind, seed=11)
-            expected = offer_decisions(reference, ts)
-            head = offer_decisions(subject, ts[:100])
-            kernel = chunk_kernel_for(subject)
-            tail = kernel_decisions(kernel, ts[100:], [7] * 20)
-            assert np.array_equal(np.concatenate([head, tail]), expected)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(min_value=0, max_value=10_000),
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("offer"), st.integers(0, 20)),
+                st.tuples(st.just("chunk"), st.integers(0, 40)),
+                st.tuples(st.just("rekey"), st.integers(1, 40)),
+            ),
+            max_size=30,
+        ),
+    )
+    # A re-key below the systematic countdown, then a chunk that ends
+    # before the carried countdown expires.
+    @example(
+        kind="systematic",
+        seed=0,
+        steps=[("rekey", 3), ("chunk", 1), ("offer", 5)],
+    )
+    def test_adopts_mid_stream_state(self, kind, seed, steps):
+        # One object switches freely between per-packet offers, ragged
+        # keep_mask chunks and re-keys; a per-packet twin re-keyed at
+        # the same points must make the same decisions and end in the
+        # same state.
+        ts = arrivals(sum(n for op, n in steps if op != "rekey"), seed)
+        reference = make_streaming(kind, seed=seed)
+        subject = make_streaming(kind, seed=seed)
+        assert chunk_kernel_for(subject) is subject
+        expected, actual = [], []
+        start = 0
+        for op, n in steps:
+            if op == "rekey":
+                reference.rekey(n, unit_period_us=UNIT_PERIOD_US)
+                subject.rekey(n, unit_period_us=UNIT_PERIOD_US)
+                continue
+            part = ts[start : start + n]
+            start += n
+            expected.append(offer_decisions(reference, part))
+            if op == "offer":
+                actual.append(offer_decisions(subject, part))
+            else:
+                actual.append(subject.keep_mask(part))
+        empty = [np.zeros(0, dtype=bool)]
+        assert np.array_equal(
+            np.concatenate(empty + actual), np.concatenate(empty + expected)
+        )
+        assert_same_state(kind, reference, subject)
 
     def test_reservoir_has_no_kernel(self):
         assert chunk_kernel_for(StreamingReservoir(capacity=5)) is None
 
-    def test_validation_mirrors_streaming(self):
-        with pytest.raises(ValueError):
-            SystematicKernel.start(granularity=0)
-        with pytest.raises(ValueError):
-            SystematicKernel(granularity=5, countdown=5)
-        with pytest.raises(ValueError):
-            StratifiedKernel.start(granularity=0)
-        with pytest.raises(ValueError):
-            TimerKernel.start(period_us=0.0)
-        with pytest.raises(ValueError):
-            TimerKernel.start(period_us=10.0, phase_us=10.0)
+
+class TestRekey:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rekey_to_zero_raises(self, kind):
+        selector = make_streaming(kind)
+        with pytest.raises(ValueError, match="granularity must be >= 1"):
+            selector.rekey(0, unit_period_us=UNIT_PERIOD_US)
+
+    def test_timer_rekey_needs_a_unit_period(self):
+        timer = make_streaming("timer")
+        with pytest.raises(ValueError, match="positive unit period"):
+            timer.rekey(4)
+        assert timer.period_us == 3250.0

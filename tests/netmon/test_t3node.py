@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.sampling.streaming import StreamingSystematic
 from repro.netmon.t3node import T3Node
 from repro.trace.trace import Trace
 
@@ -136,3 +137,58 @@ class TestT3Node:
         estimate = node.estimated_total_packets()
         assert snmp == len(minute_trace)
         assert abs(estimate - snmp) / snmp < 0.01
+
+
+class TestRekeying:
+    def test_set_granularity_matches_per_packet_reference(self, minute_trace):
+        """Re-keyed firmware selects what a re-keyed per-packet
+        StreamingSystematic selects, interface by interface."""
+        traffic = {
+            "t3": minute_trace.select(np.arange(0, len(minute_trace), 2)),
+            "fddi": minute_trace.select(np.arange(1, len(minute_trace), 2)),
+        }
+        rekeys = {7: 16, 19: 3, 31: 64, 44: 1, 50: 37}
+        node = T3Node("enss", interfaces=tuple(traffic), granularity=50,
+                      cpu_capacity_pps=10**9)
+        selected = {name: [] for name in traffic}
+
+        def recording(name, select):
+            def select_and_record(batch):
+                chosen = select(batch)
+                selected[name].append(chosen)
+                return chosen
+            return select_and_record
+
+        for name, iface in node.interfaces.items():
+            iface.subsystem.select = recording(name, iface.subsystem.select)
+
+        references = {name: StreamingSystematic(50) for name in traffic}
+        decisions = {name: [] for name in traffic}
+        n_seconds = int(minute_trace.timestamps_us[-1]) // 1_000_000 + 1
+        edges = {
+            name: np.searchsorted(
+                trace.timestamps_us // 1_000_000, np.arange(n_seconds + 1)
+            )
+            for name, trace in traffic.items()
+        }
+        for second in range(n_seconds):
+            if second in rekeys:
+                node.set_granularity(rekeys[second])
+                for reference in references.values():
+                    reference.rekey(rekeys[second])
+            batches = {
+                name: trace.slice_packets(
+                    int(edges[name][second]), int(edges[name][second + 1])
+                )
+                for name, trace in traffic.items()
+            }
+            node.process_second(batches)
+            for name, batch in batches.items():
+                decisions[name].extend(
+                    references[name].offer(int(t)) for t in batch.timestamps_us
+                )
+
+        assert node.granularity == 37
+        for name, trace in traffic.items():
+            expected = trace.select(np.flatnonzero(decisions[name]))
+            assert Trace.concat(selected[name]) == expected

@@ -43,6 +43,22 @@ class TestErrorPaths:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "command, granularity_flag",
+        [("adapt", "--initial-granularity"), ("monitor", "--granularity")],
+    )
+    def test_out_of_range_phase_is_rejected(
+        self, tmp_path, capsys, command, granularity_flag
+    ):
+        # Neither subcommand may clamp the phase into range silently.
+        trace_path = str(tmp_path / "t.pcap")
+        main(["generate", trace_path, "--duration", "5", "--seed", "5"])
+        capsys.readouterr()
+        argv = [command, trace_path, granularity_flag, "16", "--phase", "100"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: phase must be in [0, 16), got 100\n"
+
 
 class TestCommands:
     def test_generate_and_describe(self, tmp_path, capsys):
