@@ -8,9 +8,15 @@ and once through the chunked pipeline
 (:func:`repro.fastpath.run_monitor`).  Outputs are asserted
 bit-identical before any timing is recorded — a fast wrong answer is
 not a result — and the speedup is gated at 10x, below the observed
-~12-13x while still catching a de-vectorization regression (the
+~12-14x while still catching a de-vectorization regression (the
 per-packet loop is ~7us/packet; anything near that on the fast path
 means a kernel silently fell back).
+
+Both flow accountants use a 120 s active timeout.  The slice is about
+460 s of traffic, so under the NetFlow default of 1800 s no active
+timeout would fire and the gate would never see the flow kernel's
+active-timeout reconstruction; at 120 s long-lived flows are exported
+and restarted up to three times, on both tables.
 
 The record lands in ``bench_fastpath_streaming.json`` for the CI
 regression gate (``check_regression.py`` compares ``wall_s`` entries
@@ -40,6 +46,8 @@ WINDOW_US = 30_000_000
 ROUNDS = 3
 MIN_SPEEDUP = 10.0
 SEED = 42
+#: Short enough that active timeouts fire inside the slice (see above).
+ACTIVE_TIMEOUT_US = 120_000_000
 
 
 def _best_of(rounds, fn):
@@ -61,7 +69,7 @@ def test_fastpath_streaming(hour_trace, emit):
             GRANULARITY, rng=np.random.default_rng(SEED)
         )
         monitor = QualityMonitor(window_us=WINDOW_US)
-        accountant = StreamFlowAccountant()
+        accountant = StreamFlowAccountant(active_timeout_us=ACTIVE_TIMEOUT_US)
         windows = []
         for ts, size, key in packets:
             kept = sampler.offer(ts)
@@ -78,7 +86,7 @@ def test_fastpath_streaming(hour_trace, emit):
             GRANULARITY, rng=np.random.default_rng(SEED)
         )
         monitor = QualityMonitor(window_us=WINDOW_US)
-        accountant = StreamFlowAccountant()
+        accountant = StreamFlowAccountant(active_timeout_us=ACTIVE_TIMEOUT_US)
         windows = []
         run_monitor(
             iter_trace_chunks(window),

@@ -800,16 +800,18 @@ def _write_csv(path: str, header: List[str], rows: List[List[object]]) -> None:
 
 
 def _flows_aggregate(args: argparse.Namespace):
-    """The trace->records aggregation the flow flags select, or None.
+    """The trace->records aggregation the flow flags select.
 
-    Returns the chunked fast-path aggregation unless ``--fastpath off``;
-    None means the per-packet reference (:func:`aggregate_trace`).
+    Each call aggregates through a fresh table built from the cache
+    flags: the chunked fast path unless ``--fastpath off``, which
+    selects the per-packet reference (:func:`aggregate_trace`).
     """
     if args.fastpath == "off":
-        return None
-    from repro.fastpath import fast_aggregate_trace
+        from repro.flows.table import aggregate_trace as aggregate
+    else:
+        from repro.fastpath import fast_aggregate_trace as aggregate
 
-    return fast_aggregate_trace
+    return lambda trace: aggregate(trace, table=_flow_table_from_args(args))
 
 
 def _flows_study(args: argparse.Namespace, trace):
@@ -832,12 +834,15 @@ def _cmd_flows(args: argparse.Namespace) -> int:
             "mode %r inverts 1-in-N sampling and needs --granularity >= 2"
             % args.mode
         )
+    try:
+        table = _flow_table_from_args(args)
+    except ValueError as error:
+        return _fail(str(error))
 
     if args.mode == "aggregate":
         from repro.flows.sampled import FlowSet
         from repro.flows.table import aggregate_trace
 
-        table = _flow_table_from_args(args)
         if args.fastpath != "off":
             from repro.fastpath import fast_aggregate_trace
 

@@ -16,8 +16,8 @@ already yields) as O(chunk) numpy kernels:
   per-packet ``offer`` carries; :func:`chunk_kernel_for` returns the
   selector itself (``None`` for the reservoir);
 * :mod:`repro.fastpath.flows` — a vectorized flow-accounting kernel
-  (packed-integer 5-tuple grouping, segmented idle-expiry
-  reconstruction) feeding :class:`~repro.flows.table.FlowTable`-
+  (packed-integer 5-tuple grouping, segmented reconstruction of idle
+  and active timeouts) feeding :class:`~repro.flows.table.FlowTable`-
   compatible updates and the ``flow_cache_*`` live metrics;
 * :mod:`repro.fastpath.monitor` — bulk
   :class:`~repro.stats.streams.RunningHistogram` updates for
@@ -29,9 +29,10 @@ The non-negotiable contract, pinned by ``tests/fastpath``: for every
 selector, chunk size, and chunk boundary placement, the fast path's
 keep/skip stream, exported flow records, and live metrics are
 bit-identical to the per-packet reference — same RNG discipline, same
-state at every chunk boundary.  Where a kernel cannot prove a chunk is
-event-free (flow expiry, eviction), it falls back to the per-packet
-reference for that chunk, so identity never rests on an approximation.
+state at every chunk boundary.  Where the flow kernel cannot
+reconstruct a chunk exactly (an emergency eviction, or timestamps that
+go backwards), it falls back to the per-packet reference for that
+chunk, so identity never rests on an approximation.
 """
 
 from repro.fastpath.flows import (

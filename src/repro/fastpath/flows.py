@@ -5,30 +5,38 @@ faithful NetFlow cache: idle expiry interleaved with arrivals, active
 timeouts, LRU emergency eviction — all order-dependent.  Vectorizing it
 *bit-identically* splits each chunk into two regimes:
 
-* **Idle-only chunks** — the common case, including low-rate traces
-  where every chunk spans many idle timeouts.  Idle expiry is
-  reconstructible without replay: a flow's packet run splits into
-  *segments* wherever consecutive activity (counting any live entry's
-  pre-chunk activity) is separated by at least the idle timeout, every
-  closed segment exports with reason ``idle`` at the first arrival past
-  its deadline, and the global export order is exactly ascending
-  ``(trigger arrival, last_us, update sequence)`` because the table
-  pops expiries from the LRU end — which *is* last-update order.  The
-  kernel therefore computes, in O(chunk) numpy plus O(segments) python:
-  per-key segmentation (one ``argsort``/``reduceat`` pass), the export
-  records in reference order, the occupancy trajectory (creations
-  minus removals, cumulative-summed) for exact creation-time peak
-  tracking, and the final entries rebuilt in the reference's LRU
-  order — untouched survivors first, then touched keys by final
-  update position.
+* **Timeout-only chunks** — every chunk whose exports are idle or
+  active timeouts, which is every chunk that needs no eviction.  Both
+  timeouts are reconstructible without replay.  A flow's packet run
+  splits into *segments* wherever consecutive activity (counting any
+  live entry's pre-chunk activity) is separated by at least the idle
+  timeout, and every closed segment exports with reason ``idle`` at
+  the first arrival past its deadline.  A segment is
+  then cut at every packet arriving ``active_timeout_us`` or more after
+  its incarnation's ``first_us``: the incarnation so far exports with
+  reason ``active`` at that packet and a new one starts there (one more
+  creation, occupancy unchanged).  When a key's first packet in the
+  chunk makes the cut, the record is the entry carried over from the
+  last chunk, as it stands.  The global export order is exactly
+  ascending ``(trigger arrival, last_us, update sequence)``: the table
+  pops idle expiries from the LRU end — which *is* last-update order —
+  and an active record's ``last_us`` lies within the idle timeout of
+  its trigger, after every idle record that arrival fires.  The kernel
+  therefore computes, in O(chunk) numpy plus O(segments) python:
+  per-key segmentation (one ``argsort``/``reduceat`` pass, plus a
+  ``searchsorted`` walk over the rare segments that outlive the active
+  timeout), the export records in reference order, the occupancy
+  trajectory (creations minus removals, cumulative-summed) for exact
+  creation-time peak tracking, and the final entries rebuilt in the
+  reference's LRU order — untouched survivors first, then touched keys
+  by final update position.
 
-* **Chunks with other events** — an active timeout that would fire
-  (some segment outlives ``active_timeout_us``), an emergency eviction
-  (the computed occupancy trajectory crosses ``max_flows``), or
-  non-monotonic timestamps.  Both detections are exact, both are made
-  *before* any state is mutated, and both fall back to the per-packet
-  reference for the whole chunk, so identity never depends on
-  reproducing eviction interleavings vectorially.
+* **Chunks with other events** — an emergency eviction (the computed
+  occupancy trajectory crosses ``max_flows``) or non-monotonic
+  timestamps.  Both detections are exact, both are made *before* any
+  state is mutated, and both fall back to the per-packet reference for
+  the whole chunk, so identity never depends on reproducing eviction
+  interleavings vectorially.
 
 Either way :func:`account_chunk` returns the chunk's exported records
 (in export order) and leaves ``table`` — entries, LRU order, counters,
@@ -47,7 +55,14 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.flows.sampled import StreamFlowAccountant, _Side
-from repro.flows.table import REASON_IDLE, FlowRecord, FlowTable, _FlowEntry
+from repro.flows.table import (
+    REASON_ACTIVE,
+    REASON_IDLE,
+    FlowKey,
+    FlowRecord,
+    FlowTable,
+    _FlowEntry,
+)
 from repro.trace.trace import Trace
 
 __all__ = [
@@ -112,23 +127,6 @@ def _group_keys(
     return representative_index.astype(np.int64), order, group_sorted
 
 
-def _record(key: Tuple[int, ...], packets: int, bytes_: int,
-            first_us: int, last_us: int) -> FlowRecord:
-    src_net, dst_net, src_port, dst_port, protocol = key
-    return FlowRecord(
-        src_net=src_net,
-        dst_net=dst_net,
-        src_port=src_port,
-        dst_port=dst_port,
-        protocol=protocol,
-        packets=packets,
-        bytes=bytes_,
-        first_us=first_us,
-        last_us=last_us,
-        reason=REASON_IDLE,
-    )
-
-
 def _fallback(
     table: FlowTable,
     timestamps_us: "np.ndarray",
@@ -145,6 +143,54 @@ def _fallback(
     return records
 
 
+def _segments(
+    boundary: "np.ndarray",
+    times_sorted: "np.ndarray",
+    carry_pos: "np.ndarray",
+    carry_first_us: "np.ndarray",
+) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
+    """(starts, ends, carried, first_us, last_us) of the segments that
+    ``boundary`` opens over the grouped chunk.
+
+    ``carried`` indexes the segments that continue a live entry (those
+    starting at ``carry_pos``), whose ``first_us`` is the entry's.
+    """
+    starts = np.flatnonzero(boundary)
+    ends = np.append(starts[1:], boundary.size)
+    carried = np.searchsorted(starts, carry_pos)
+    first_us = times_sorted[starts]
+    first_us[carried] = carry_first_us
+    return starts, ends, carried, first_us, times_sorted[ends - 1]
+
+
+def _active_cuts(
+    times_sorted: "np.ndarray",
+    starts: "np.ndarray",
+    ends: "np.ndarray",
+    first_us: "np.ndarray",
+    last_us: "np.ndarray",
+    active_timeout_us: int,
+) -> List[int]:
+    """Grouped positions where an active timeout restarts a flow.
+
+    Within a segment the first packet arriving ``active_timeout_us`` or
+    more after the incarnation's ``first_us`` starts a new incarnation,
+    whose own ``first_us`` is that packet's time, and so on.  Only the
+    segments that outlive the timeout are walked, one ``searchsorted``
+    per cut; a segment's packets are in arrival order, so its times
+    are sorted.
+    """
+    cuts: List[int] = []
+    for s in np.flatnonzero(last_us - first_us >= active_timeout_us).tolist():
+        start = int(starts[s])
+        run = times_sorted[start : int(ends[s])]
+        cut = int(np.searchsorted(run, first_us[s] + active_timeout_us))
+        while cut < run.size:
+            cuts.append(start + cut)
+            cut = int(np.searchsorted(run, run[cut] + active_timeout_us))
+    return cuts
+
+
 def account_chunk(
     table: FlowTable,
     timestamps_us: "np.ndarray",
@@ -155,7 +201,8 @@ def account_chunk(
 
     Parameters mirror one chunk of :func:`encode_flow_keys` output with
     its timestamp and size columns.  Returns the records this chunk
-    exported, in export order (empty for a proven event-free chunk).
+    exported, in export order (empty for a chunk where no timeout
+    fires).
     """
     n = int(timestamps_us.shape[0])
     if n == 0:
@@ -169,81 +216,96 @@ def account_chunk(
         return _fallback(table, timestamps_us, sizes, keys)
 
     idle = table.idle_timeout_us
+    active = table.active_timeout_us
     entries = table._entries
     sizes64 = np.asarray(sizes, dtype=np.int64)
 
     # View the chunk grouped by key, each group's packets in arrival
     # order, then segment each run at >= idle gaps.
     first_index, order, group_sorted = _group_keys(keys)
-    group_count = first_index.size
-    group_keys = [
+    group_keys: List[FlowKey] = [
         tuple(row) for row in np.ascontiguousarray(keys)[first_index].tolist()
     ]
-    live = [entries.get(key) for key in group_keys]
-
     times_sorted = arrivals[order]
     group_start = np.empty(n, dtype=bool)
     group_start[0] = True
     group_start[1:] = group_sorted[1:] != group_sorted[:-1]
     group_start_pos = np.flatnonzero(group_start)
 
+    # The chunk's keys that have a live entry, met by their first packet.
+    live_groups: List[int] = []
+    live: List[_FlowEntry] = []
+    for g, key in enumerate(group_keys):
+        entry = entries.get(key)
+        if entry is not None:
+            live_groups.append(g)
+            live.append(entry)
+    live_pos = group_start_pos[np.asarray(live_groups, dtype=np.int64)]
+    live_first, live_last, live_packets, live_bytes = (
+        np.fromiter(
+            (getattr(entry, field) for entry in live),
+            dtype=np.int64,
+            count=len(live),
+        )
+        for field in ("first_us", "last_us", "packets", "bytes")
+    )
+
     # A packet's predecessor activity is the previous packet of its
     # key, or — for a key's first packet — its live entry's last_us
     # (its own time when there is no entry, which can never break).
     prev_times = np.empty(n, dtype=np.int64)
     prev_times[1:] = times_sorted[:-1]
-    prev_times[group_start_pos] = np.fromiter(
-        (
-            entry.last_us if entry is not None else int(times_sorted[pos])
-            for entry, pos in zip(live, group_start_pos.tolist())
-        ),
-        dtype=np.int64,
-        count=group_count,
-    )
+    prev_times[group_start_pos] = times_sorted[group_start_pos]
+    prev_times[live_pos] = live_last
     breaks = (times_sorted - prev_times) >= idle
 
-    seg_starts = np.flatnonzero(group_start | breaks)
-    seg_ends = np.append(seg_starts[1:], n)
-    seg_group = group_sorted[seg_starts]
-    seg_first_us = times_sorted[seg_starts].copy()
-    seg_last_us = times_sorted[seg_ends - 1]
-    seg_packets = seg_ends - seg_starts
-    seg_bytes = np.add.reduceat(sizes64[order], seg_starts)
-    seg_first_idx = order[seg_starts]
-    seg_final_idx = order[seg_ends - 1]
-    seg_count = seg_starts.size
+    # A live entry continues into its key's first segment unless that
+    # first packet closes it: after an idle gap the entry exports whole,
+    # pre-chunk; at its active timeout it exports as it stands, at that
+    # packet, which then starts a new incarnation.
+    live_idle = breaks[live_pos]
+    live_active = ~live_idle & (times_sorted[live_pos] - live_first >= active)
+    live_carried = ~(live_idle | live_active)
+    carry_pos = live_pos[live_carried]
+    carry_first = live_first[live_carried]
 
-    # A group's first segment continues its live entry unless the gap
-    # to the entry broke — then the entry exports whole, pre-chunk.
-    has_entry = np.asarray(
-        [live[g] is not None for g in seg_group.tolist()], dtype=bool
+    boundary = group_start | breaks
+    seg_starts, seg_ends, carried, seg_first_us, seg_last_us = _segments(
+        boundary, times_sorted, carry_pos, carry_first
     )
-    merged = group_start[seg_starts] & ~breaks[seg_starts] & has_entry
-    for s in np.flatnonzero(merged).tolist():
-        entry = live[int(seg_group[s])]
-        seg_first_us[s] = entry.first_us
-        seg_packets[s] += entry.packets
-        seg_bytes[s] += entry.bytes
-
-    # An active timeout would export-and-restart mid-segment: exact
-    # detection (some packet arrives >= active after its segment's
-    # first_us), handled by the reference path.
-    if np.any(seg_last_us - seg_first_us >= table.active_timeout_us):
-        return _fallback(table, timestamps_us, sizes, keys)
+    # Active timeouts inside segments cut them into incarnations; a cut
+    # closes the incarnation before it with reason ``active``.
+    cuts = _active_cuts(
+        times_sorted, seg_starts, seg_ends, seg_first_us, seg_last_us, active
+    )
+    if cuts:
+        boundary[cuts] = True
+        seg_starts, seg_ends, carried, seg_first_us, seg_last_us = _segments(
+            boundary, times_sorted, carry_pos, carry_first
+        )
+    cut_after = np.zeros(n + 1, dtype=bool)
+    cut_after[cuts] = True
+    active_seg = cut_after[seg_ends]
+    seg_count = seg_starts.size
+    seg_group = group_sorted[seg_starts]
+    seg_packets = seg_ends - seg_starts
+    seg_packets[carried] += live_packets[live_carried]
+    seg_bytes = np.add.reduceat(sizes64[order], seg_starts)
+    seg_bytes[carried] += live_bytes[live_carried]
+    seg_final_idx = order[seg_ends - 1]
 
     group_last_seg = np.empty(seg_count, dtype=bool)
     group_last_seg[-1] = True
     group_last_seg[:-1] = seg_group[1:] != seg_group[:-1]
     closed_seg = ~group_last_seg | (last_ts - seg_last_us >= idle)
+    idle_seg = closed_seg & ~active_seg
 
     # Pre-chunk closures, in dict order (= LRU order): untouched
     # entries gone idle by chunk end, and entries whose key reappears
-    # only after an idle break.
+    # only after an idle break.  Entries whose key's first packet is
+    # their active timeout export too, as they stand.
     entry_broken = {
-        group_keys[int(seg_group[s])]
-        for s in np.flatnonzero(
-            group_start[seg_starts] & breaks[seg_starts]
-        ).tolist()
+        group_keys[live_groups[i]] for i in np.flatnonzero(live_idle).tolist()
     }
     touched = set(group_keys)
     prechunk_closed = [
@@ -252,26 +314,40 @@ def account_chunk(
         if key in entry_broken
         or (key not in touched and last_ts - entry.last_us >= idle)
     ]
+    prechunk_active = [live[i] for i in np.flatnonzero(live_active).tolist()]
 
-    # Occupancy trajectory: +1 at each creation (non-merged segment),
-    # -1 at each closure's trigger arrival (first arrival past its
-    # idle deadline; expiries at an arrival precede its insertion).
-    # The reference tracks peak only at creations, and evicts when a
-    # creation finds the table full — both read off this trajectory.
-    create_idx = seg_first_idx[~merged]
-    closed_trig = np.searchsorted(
-        arrivals, seg_last_us[closed_seg] + idle, side="left"
-    )
+    # Every closure's trigger arrival: an idle closure fires at the
+    # first arrival past its deadline, an active one at the packet that
+    # restarts the flow.
+    seg_trig = np.empty(seg_count, dtype=np.int64)
+    seg_trig[idle_seg] = np.searchsorted(arrivals, seg_last_us[idle_seg] + idle)
+    seg_trig[active_seg] = order[seg_ends[active_seg]]
     prechunk_last = np.fromiter(
-        (entry.last_us for entry in prechunk_closed),
+        (entry.last_us for entry in prechunk_closed + prechunk_active),
         dtype=np.int64,
-        count=len(prechunk_closed),
+        count=len(prechunk_closed) + len(prechunk_active),
     )
-    prechunk_trig = np.searchsorted(arrivals, prechunk_last + idle, side="left")
+    prechunk_trig = np.concatenate(
+        (
+            np.searchsorted(arrivals, prechunk_last[: len(prechunk_closed)] + idle),
+            order[live_pos[live_active]],
+        )
+    )
+    # The closed segments in update sequence (final update position).
+    closed = np.flatnonzero(closed_seg)
+    closed = closed[np.argsort(seg_final_idx[closed], kind="stable")]
+
+    # Occupancy trajectory: +1 at each creation (uncarried segment),
+    # -1 at each closure's trigger arrival (expiries at an arrival
+    # precede its insertion, and an active export precedes the
+    # restart it makes room for).  The reference tracks peak only at
+    # creations, and evicts when a creation finds the table full —
+    # both read off this trajectory.
+    create_idx = np.delete(order[seg_starts], carried)
     if create_idx.size:
         delta = np.zeros(n, dtype=np.int64)
         np.add.at(delta, create_idx, 1)
-        np.subtract.at(delta, closed_trig, 1)
+        np.subtract.at(delta, seg_trig[closed], 1)
         np.subtract.at(delta, prechunk_trig, 1)
         occupancy_after = len(entries) + np.cumsum(delta)
         peak_chunk = int(occupancy_after[create_idx].max())
@@ -280,46 +356,47 @@ def account_chunk(
     else:
         peak_chunk = 0
 
-    # Export order: the table pops expiries from the LRU end, so the
-    # global stream is ascending (trigger, last_us, update sequence);
-    # pre-chunk closures precede chunk segments on full ties because
-    # their last update is older.
-    candidates: List[Tuple[int, int, int, FlowRecord]] = []
-    for seq, (entry, trig) in enumerate(
-        zip(prechunk_closed, prechunk_trig.tolist())
-    ):
-        candidates.append((trig, entry.last_us, seq, entry.export(REASON_IDLE)))
-    closed_indices = np.flatnonzero(closed_seg)
-    update_order = np.argsort(seg_final_idx[closed_seg], kind="stable")
-    for seq, (s, trig) in enumerate(
-        zip(
-            closed_indices[update_order].tolist(),
-            closed_trig[update_order].tolist(),
-        ),
-        start=len(candidates),
-    ):
-        candidates.append(
-            (
-                int(trig),
-                int(seg_last_us[s]),
-                seq,
-                _record(
-                    group_keys[int(seg_group[s])],
-                    int(seg_packets[s]),
-                    int(seg_bytes[s]),
-                    int(seg_first_us[s]),
-                    int(seg_last_us[s]),
-                ),
-            )
+    # Export order: the table pops idle expiries from the LRU end, so
+    # the idle stream is ascending (trigger, last_us, update sequence).
+    # The candidates are listed in update sequence — pre-chunk closures
+    # in dict order, then chunk segments by final update position — and
+    # sorted stably on (trigger, last_us).  An active export's last_us
+    # lies within the idle timeout of its trigger, so it sorts after
+    # every idle export its arrival fires, as the reference emits it.
+    exported = [entry.export(REASON_IDLE) for entry in prechunk_closed]
+    exported.extend(entry.export(REASON_ACTIVE) for entry in prechunk_active)
+    exported.extend(
+        FlowRecord(
+            *group_keys[g],
+            packets,
+            bytes_,
+            first_us,
+            last_us,
+            REASON_ACTIVE if cut else REASON_IDLE,
         )
-    candidates.sort(key=lambda item: (item[0], item[1], item[2]))
-    records = [record for _trig, _last, _seq, record in candidates]
+        for g, packets, bytes_, first_us, last_us, cut in zip(
+            seg_group[closed].tolist(),
+            seg_packets[closed].tolist(),
+            seg_bytes[closed].tolist(),
+            seg_first_us[closed].tolist(),
+            seg_last_us[closed].tolist(),
+            active_seg[closed].tolist(),
+        )
+    )
+    export_order = np.lexsort(
+        (
+            np.concatenate((prechunk_last, seg_last_us[closed])),
+            np.concatenate((prechunk_trig, seg_trig[closed])),
+        )
+    )
+    records = [exported[i] for i in export_order.tolist()]
 
     # Commit: counters, then the entries dict rebuilt in LRU order —
     # untouched survivors keep their relative order ahead of touched
     # keys re-inserted by final update position.
-    if records:
-        table.exported[REASON_IDLE] += len(records)
+    active_count = len(prechunk_active) + int(np.count_nonzero(active_seg))
+    table.exported[REASON_IDLE] += len(records) - active_count
+    table.exported[REASON_ACTIVE] += active_count
     table.flows_created += int(create_idx.size)
     if peak_chunk > table.peak_occupancy:
         table.peak_occupancy = peak_chunk
@@ -328,14 +405,19 @@ def account_chunk(
     for key in group_keys:
         entries.pop(key, None)
     surviving = np.flatnonzero(~closed_seg)
-    for s in surviving[
-        np.argsort(seg_final_idx[~closed_seg], kind="stable")
-    ].tolist():
-        key = group_keys[int(seg_group[s])]
-        entry = _FlowEntry(key, int(seg_first_us[s]), 0)
-        entry.packets = int(seg_packets[s])
-        entry.bytes = int(seg_bytes[s])
-        entry.last_us = int(seg_last_us[s])
+    surviving = surviving[np.argsort(seg_final_idx[surviving], kind="stable")]
+    for g, first_us, packets, bytes_, last_us in zip(
+        seg_group[surviving].tolist(),
+        seg_first_us[surviving].tolist(),
+        seg_packets[surviving].tolist(),
+        seg_bytes[surviving].tolist(),
+        seg_last_us[surviving].tolist(),
+    ):
+        key = group_keys[g]
+        entry = _FlowEntry(key, first_us, 0)
+        entry.packets = packets
+        entry.bytes = bytes_
+        entry.last_us = last_us
         entries[key] = entry
     table._last_timestamp = last_ts
     return records

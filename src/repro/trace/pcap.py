@@ -300,13 +300,19 @@ class _ChunkBuilder:
     """Accumulates decoded column batches and emits :class:`Trace`
     chunks of exactly ``chunk_packets`` packets (plus a final partial),
     incrementing the ingest counters per emitted chunk — the exact
-    cadence of the historical per-record loop."""
+    cadence of the historical per-record loop.
+
+    A record timestamped before its predecessor, within a chunk or
+    across two, raises :class:`PcapError` naming the record, so both
+    decoders report it alike."""
 
     def __init__(self, chunk_packets: int, obs: Any) -> None:
         self._chunk_packets = chunk_packets
         self._obs = obs
         self._parts: List[_ColumnTuple] = []
         self._buffered = 0
+        self._emitted = 0
+        self._last_us: Optional[int] = None
 
     def push(self, columns: _ColumnTuple) -> List[Trace]:
         if len(columns[0]):
@@ -334,10 +340,28 @@ class _ChunkBuilder:
         else:
             self._parts = []
         self._buffered -= count
-        chunk = Trace(**dict(zip(_COLUMN_NAMES, head)))
+        timestamps = head[0]
+        try:
+            chunk = Trace(**dict(zip(_COLUMN_NAMES, head)))
+        except ValueError:
+            backwards = np.flatnonzero(np.diff(timestamps) < 0)
+            if not backwards.size:
+                raise
+            raise self._out_of_order(timestamps, int(backwards[0]) + 1) from None
+        if self._last_us is not None and timestamps[0] < self._last_us:
+            raise self._out_of_order(timestamps, 0)
+        self._emitted += count
+        self._last_us = int(timestamps[-1])
         self._obs.counter("pcap_chunks").inc()
         self._obs.counter("pcap_packets").inc(len(chunk))
         return chunk
+
+    def _out_of_order(self, timestamps: np.ndarray, index: int) -> PcapError:
+        previous = self._last_us if index == 0 else int(timestamps[index - 1])
+        return PcapError(
+            "time goes backwards at record index %d: %d us after %d us"
+            % (self._emitted + index, int(timestamps[index]), previous)
+        )
 
 
 #: Default packets per chunk for :func:`iter_pcap` — ~5 MB of columns.

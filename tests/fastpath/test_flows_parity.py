@@ -3,16 +3,21 @@
 :func:`repro.fastpath.flows.account_chunk` must leave the flow table —
 entries, LRU order, counters, last timestamp — and the exported record
 stream bit-identical to per-packet :meth:`FlowTable.observe` calls, for
-any chunking.  Where a chunk *could* export (idle, active, eviction)
-the kernel must fall back rather than approximate, so the eventful
-cases below exercise fallback correctness, not vectorized exports.
+any chunking.  Idle and active timeouts are reconstructed vectorially;
+:class:`TestActiveTimeouts` forbids the per-packet fallback outright.
+Only an emergency eviction (or time going backwards) may fall back, so
+the eviction cases below exercise fallback correctness.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.fastpath import DEFAULT_CHUNK_PACKETS
+from repro.fastpath import flows as fastpath_flows
 from repro.fastpath.flows import (
     FlowAccountantKernel,
     account_chunk,
@@ -31,24 +36,34 @@ def feed_per_packet(table: FlowTable, trace: Trace):
     return records
 
 
-def feed_chunked(table: FlowTable, trace: Trace, chunk_sizes):
-    records = []
+def iter_chunk_records(table: FlowTable, trace: Trace, chunk_sizes):
+    """``(start, records)`` per :func:`account_chunk` call over ragged
+    chunks of ``chunk_sizes`` packets, the remainder last."""
     keys = encode_flow_keys(trace)
     start = 0
     for size in list(chunk_sizes) + [len(trace)]:
         stop = min(start + size, len(trace))
-        records.extend(
-            account_chunk(
-                table,
-                trace.timestamps_us[start:stop],
-                trace.sizes[start:stop],
-                keys[start:stop],
-            )
+        yield start, account_chunk(
+            table,
+            trace.timestamps_us[start:stop],
+            trace.sizes[start:stop],
+            keys[start:stop],
         )
         start = stop
         if start >= len(trace):
             break
-    return records
+
+
+def feed_chunked(table: FlowTable, trace: Trace, chunk_sizes):
+    return [
+        record
+        for _start, records in iter_chunk_records(table, trace, chunk_sizes)
+        for record in records
+    ]
+
+
+def no_fallback(*_args):
+    raise AssertionError("account_chunk replayed a chunk per packet")
 
 
 def assert_tables_identical(reference: FlowTable, subject: FlowTable):
@@ -116,8 +131,100 @@ class TestEventFreeChunks:
         assert_tables_identical(reference, subject)
 
 
+#: Property inputs that reach each active-timeout case of the kernel.
+ACTIVE_CASES = {
+    "cut twice in one chunk": dict(
+        n=10, seed=77, keys=1, gap_hi=400_000, idle_us=500_000,
+        active_us=1_000_000, chunk_sizes=[20],
+    ),
+    "cut at a carried-over key's first packet": dict(
+        n=11, seed=67, keys=3, gap_hi=400_000, idle_us=1_000_000,
+        active_us=1_500_000, chunk_sizes=[10, 10],
+    ),
+    "idle and active at one arrival": dict(
+        n=9, seed=38, keys=2, gap_hi=400_000, idle_us=500_000,
+        active_us=750_000, chunk_sizes=[40],
+    ),
+}
+
+
+def active_cases_reached(n, seed, keys, gap_hi, idle_us, active_us,
+                         chunk_sizes):
+    """The :data:`ACTIVE_CASES` names that one property input reaches."""
+    trace = flow_trace(n, seed, keys=keys, gap_hi=gap_hi)
+    timeouts = dict(
+        idle_timeout_us=idle_us, active_timeout_us=max(active_us, idle_us)
+    )
+    reached = set()
+    reference = FlowTable(**timeouts)
+    for timestamp_us, size, key in iter_flow_keys(trace):
+        reasons = {r.reason for r in reference.observe(timestamp_us, size, key)}
+        if reasons >= {"idle", "active"}:
+            reached.add("idle and active at one arrival")
+    for start, records in iter_chunk_records(
+        FlowTable(**timeouts), trace, chunk_sizes
+    ):
+        active = [r for r in records if r.reason == "active"]
+        if not active:
+            continue
+        chunk_first_us = int(trace.timestamps_us[start])
+        # A record whose last packet precedes the chunk is a carried
+        # entry, exported as it stands at its key's first packet.
+        if any(r.last_us < chunk_first_us for r in active):
+            reached.add("cut at a carried-over key's first packet")
+        inside = [r.key for r in active if r.last_us >= chunk_first_us]
+        if len(inside) > len(set(inside)):
+            reached.add("cut twice in one chunk")
+    return reached
+
+
+class TestActiveTimeouts:
+    """Active timeouts are reconstructed exactly, never replayed."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=9999),
+        keys=st.integers(min_value=1, max_value=12),
+        gap_hi=st.integers(min_value=1, max_value=400_000),
+        idle_us=st.integers(min_value=1_000, max_value=3_000_000),
+        active_us=st.integers(min_value=1_000, max_value=20_000_000),
+        chunk_sizes=st.lists(
+            st.integers(min_value=0, max_value=80), max_size=30
+        ),
+    )
+    @example(**ACTIVE_CASES["cut twice in one chunk"])
+    @example(**ACTIVE_CASES["cut at a carried-over key's first packet"])
+    @example(**ACTIVE_CASES["idle and active at one arrival"])
+    def test_matches_reference_without_fallback(
+        self, n, seed, keys, gap_hi, idle_us, active_us, chunk_sizes
+    ):
+        trace = flow_trace(n, seed, keys=keys, gap_hi=gap_hi)
+        # The active timeout ranges from the idle timeout up to 20 s;
+        # keys <= 12 keep the default max_flows out of reach.
+        timeouts = dict(
+            idle_timeout_us=idle_us,
+            active_timeout_us=max(active_us, idle_us),
+        )
+        reference, subject = FlowTable(**timeouts), FlowTable(**timeouts)
+        expected = feed_per_packet(reference, trace)
+        with mock.patch.object(fastpath_flows, "_fallback", no_fallback):
+            actual = feed_chunked(subject, trace, chunk_sizes)
+        assert actual == expected
+        assert_tables_identical(reference, subject)
+        assert subject.flush() == reference.flush()
+
+    @pytest.mark.parametrize("case", sorted(ACTIVE_CASES))
+    def test_example_reaches_its_case(self, case):
+        assert case in active_cases_reached(**ACTIVE_CASES[case])
+
+
 class TestEventfulFallback:
-    """Chunks where exports can fire must take the reference path."""
+    """Eventful chunks: timeouts are reconstructed, evictions replayed.
+
+    Idle and active exports stay on the vectorized path; a chunk whose
+    occupancy would cross ``max_flows`` takes the reference path whole.
+    """
 
     def test_idle_expiry_interleaved(self):
         # Gaps larger than the idle timeout force intra-chunk expiries.
@@ -197,13 +304,13 @@ class TestFastAggregateTrace:
 
 
 class TestAccountantKernel:
-    def _run(self, trace: Trace, kept: np.ndarray, chunk: int):
-        reference = StreamFlowAccountant()
+    def _run(self, trace: Trace, kept: np.ndarray, chunk: int, **tables):
+        reference = StreamFlowAccountant(**tables)
         for i, (timestamp_us, size, key) in enumerate(iter_flow_keys(trace)):
             reference.observe(timestamp_us, size, key, bool(kept[i]))
         reference.flush()
 
-        subject = StreamFlowAccountant()
+        subject = StreamFlowAccountant(**tables)
         kernel = FlowAccountantKernel(subject)
         for start in range(0, len(trace), chunk):
             stop = start + chunk
@@ -219,6 +326,24 @@ class TestAccountantKernel:
         trace = flow_trace(500, seed=6)
         kept = np.arange(len(trace)) % 10 == 3
         reference, subject = self._run(trace, kept, chunk)
+        assert subject.parent() == reference.parent()
+        assert subject.sampled() == reference.sampled()
+        assert subject.store.snapshot() == reference.store.snapshot()
+
+    def test_active_timeouts_stay_vectorized(self, five_minute_trace):
+        # A 60 s active timeout over five minutes exports hundreds of
+        # parent flows as active (and a few dozen sampled ones) without
+        # a single chunk replayed per packet.
+        kept = np.arange(len(five_minute_trace)) % 50 == 7
+        with mock.patch.object(fastpath_flows, "_fallback", no_fallback):
+            reference, subject = self._run(
+                five_minute_trace,
+                kept,
+                DEFAULT_CHUNK_PACKETS,
+                active_timeout_us=60_000_000,
+            )
+        assert reference.parent_table.exported["active"] > 0
+        assert reference.sampled_table.exported["active"] > 0
         assert subject.parent() == reference.parent()
         assert subject.sampled() == reference.sampled()
         assert subject.store.snapshot() == reference.store.snapshot()

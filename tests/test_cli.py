@@ -1,8 +1,12 @@
 """Command-line interface."""
 
+import struct
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.flows.table import FlowTable, aggregate_trace
+from repro.trace.pcap import read_pcap
 
 
 class TestParser:
@@ -58,6 +62,50 @@ class TestErrorPaths:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == "error: phase must be in [0, 16), got 100\n"
+
+    def test_out_of_order_timestamps_are_rejected(self, tmp_path, capsys):
+        # A record stamped before its predecessor is malformed input:
+        # one line naming the record, exit 2, never a traceback.
+        trace_path = tmp_path / "t.pcap"
+        main(["generate", str(trace_path), "--duration", "5", "--seed", "5"])
+        capsys.readouterr()
+        trace = read_pcap(str(trace_path))
+        raw = trace_path.read_bytes()
+        first_record = raw[24 : 24 + 16 + struct.unpack_from("<I", raw, 32)[0]]
+        trace_path.write_bytes(raw + first_record)
+        assert main(["monitor", str(trace_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: unreadable trace %s: time goes backwards at record "
+            "index %d: %d us after %d us\n"
+            % (
+                trace_path,
+                len(trace),
+                trace.timestamps_us[0],
+                trace.timestamps_us[-1],
+            )
+        )
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-flows", "0"], "max_flows must be >= 1, got 0"),
+            (["--idle-timeout", "0"], "idle timeout must be positive, got 0"),
+            (
+                ["--active-timeout", "1", "--idle-timeout", "5"],
+                "active timeout (1000000) must be >= idle timeout (5000000)",
+            ),
+        ],
+        ids=["max-flows", "idle-timeout", "active-below-idle"],
+    )
+    def test_invalid_flow_cache_options_are_rejected(
+        self, tmp_path, capsys, flags, message
+    ):
+        trace_path = str(tmp_path / "t.pcap")
+        main(["generate", trace_path, "--duration", "5", "--seed", "5"])
+        capsys.readouterr()
+        assert main(["flows", trace_path, "aggregate"] + flags) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
 
 
 class TestCommands:
@@ -407,6 +455,19 @@ class TestFlowsCommand:
         assert "parent:" in out
         assert "sampled:" in out
         assert "detected fraction" in out
+
+    def test_flows_sample_honours_max_flows(self, tmp_path, capsys):
+        # The cache options shape the parent population in every mode,
+        # not only in aggregate: a tiny cache splits flows by eviction.
+        trace_path = str(tmp_path / "t.pcap")
+        main(["generate", trace_path, "--duration", "10", "--seed", "5"])
+        capsys.readouterr()
+        assert main(["flows", trace_path, "sample", "--max-flows", "8"]) == 0
+        out = capsys.readouterr().out
+        trace = read_pcap(trace_path)
+        expected = aggregate_trace(trace, FlowTable(max_flows=8))
+        assert "parent:  %6d flows" % len(expected) in out
+        assert len(expected) > len(aggregate_trace(trace))
 
     def test_flows_compare_scores_both_estimators(self, tmp_path, capsys):
         trace_path = str(tmp_path / "t.pcap")

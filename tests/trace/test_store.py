@@ -141,6 +141,29 @@ class TestCodecIdentity:
             with pytest.raises(PcapError, match="below IP header"):
                 read_pcap(io.BytesIO(data), fastpath=fastpath)
 
+    @pytest.mark.parametrize(
+        "chunk_packets", [4, 10, 1 << 62], ids=["in-chunk", "seam", "whole"]
+    )
+    def test_out_of_order_record_error_parity(self, chunk_packets, tiny_trace):
+        # Record 10 repeats record 0, so time goes backwards there:
+        # inside a chunk, at a chunk seam, and in a whole-file read.
+        raw = pcap_bytes(tiny_trace)
+        first_record = raw[24 : 24 + 16 + struct.unpack_from("<I", raw, 32)[0]]
+        errors = []
+        for fastpath in ("on", "off"):
+            with pytest.raises(PcapError) as excinfo:
+                list(
+                    iter_pcap(
+                        io.BytesIO(raw + first_record),
+                        chunk_packets=chunk_packets,
+                        fastpath=fastpath,
+                    )
+                )
+            errors.append(str(excinfo.value))
+        assert errors == [
+            "time goes backwards at record index 10: 0 us after 7200 us"
+        ] * 2
+
     @settings(max_examples=30, deadline=None)
     @given(chunk_packets=st.integers(min_value=1, max_value=60))
     def test_chunking_invariance(self, chunk_packets, minute_trace):
