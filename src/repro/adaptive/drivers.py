@@ -45,6 +45,7 @@ from repro.core.sampling.streaming import (
     StreamingSystematic,
     StreamingTimerSystematic,
 )
+from repro.core.sampling.timer import mean_interarrival_us
 from repro.core.metrics.phi import phi_coefficient
 from repro.fastpath.monitor import observe_chunk
 from repro.obs.live.monitor import QualityMonitor, WindowStats
@@ -312,11 +313,7 @@ def run_adaptive(
     mean interarrival, so granularity k means a period of k mean gaps.
     """
     if method == "timer-systematic" and unit_period_us <= 0:
-        if len(trace) < 2:
-            raise ValueError(
-                "need at least two packets to derive a timer period"
-            )
-        unit_period_us = max(trace.duration_us / (len(trace) - 1), 1e-9)
+        unit_period_us = mean_interarrival_us(trace)
     if monitor is None:
         monitor = QualityMonitor(window_us=window_us, min_scored=min_scored)
     windows: List[Dict[str, Any]] = []

@@ -63,13 +63,27 @@ environment variable) points every subcommand that reads a pcap at the
 columnar cache: warm entries load as memory maps with no parsing, cold
 ones are decoded once and cached on the way through.
 
+Every subcommand that reads a trace gets it from one loader, and a
+capture it cannot use — missing, a directory, malformed, or without a
+single packet (``validate`` warns about that one instead) — is an
+operational error, as is a flag value the library rejects.  Exit
+status, the same for every subcommand:
+
+- 0: success;
+- 1: a finding — ``validate`` found errors, ``cache info`` has no
+  entry, ``cache verify`` found problems, ``monitor --fail-on-alert``
+  saw an alert, or ``report --metrics`` found no ``metrics.prom``;
+- 2: an operational error, printed as one ``error: <message>`` line on
+  stderr (argparse's usage errors exit 2 as well).
+
 Installed as ``repro-traffic`` (see pyproject).
 """
 
 import argparse
+import contextlib
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
@@ -79,7 +93,7 @@ from repro.core.evaluation.report import format_series_table
 from repro.core.evaluation.targets import PAPER_TARGETS
 from repro.core.sampling.factory import METHOD_NAMES, make_sampler
 from repro.stats.describe import describe
-from repro.trace.pcap import read_pcap, write_pcap
+from repro.trace.pcap import PcapError, read_pcap, write_pcap
 from repro.trace.series import per_second_series
 from repro.trace.trace import Trace
 from repro.workload.generator import nsfnet_hour_trace
@@ -87,30 +101,74 @@ from repro.workload.generator import nsfnet_hour_trace
 _TARGETS = {t.name: t for t in PAPER_TARGETS}
 
 
-def _trace_cache_dir(args: Optional[argparse.Namespace]) -> Optional[str]:
+class CliError(Exception):
+    """An operational error; :func:`main` prints ``error: <message>``
+    on stderr and exits 2.  Nothing else it catches does so, so a
+    library bug still shows its traceback."""
+
+
+@contextlib.contextmanager
+def _flag_values() -> Iterator[None]:
+    """Guard for library calls that take flag values: the
+    ``ValueError`` such a call raises for a bad value becomes a
+    :class:`CliError` carrying the library's own message."""
+    try:
+        yield
+    except ValueError as error:
+        raise CliError(str(error)) from None
+
+
+def _trace_cache_dir(args: argparse.Namespace) -> Optional[str]:
     """The configured trace-cache directory, or ``None``.
 
     The global ``--trace-cache`` flag wins; the ``REPRO_TRACE_CACHE``
     environment variable is the deployment-wide default.
     """
-    explicit = getattr(args, "trace_cache", None) if args is not None else None
-    return explicit or os.environ.get("REPRO_TRACE_CACHE") or None
+    return args.trace_cache or os.environ.get("REPRO_TRACE_CACHE") or None
+
+
+def _read_trace(
+    path: str, read: Callable[[str], Trace], allow_empty: bool = False
+) -> Trace:
+    """``read(path)``, with every way the capture can be unusable —
+    missing, a directory, malformed, or (unless ``allow_empty``)
+    without packets — raised as a :class:`CliError`."""
+    try:
+        trace = read(path)
+    except FileNotFoundError:
+        raise CliError("trace file not found: %s" % path) from None
+    except IsADirectoryError:
+        raise CliError("%s is a directory, not a pcap file" % path) from None
+    except PcapError as error:
+        raise CliError("unreadable trace %s: %s" % (path, error)) from None
+    if not (len(trace) or allow_empty):
+        raise CliError("trace %s is empty" % path)
+    return trace
 
 
 def _load_trace(
-    path: str,
-    args: Optional[argparse.Namespace] = None,
-    obs=None,
+    args: argparse.Namespace, obs=None, metrics=None, allow_empty: bool = False
 ) -> Trace:
-    if path == "synthetic":
-        return nsfnet_hour_trace(duration_s=600)
-    cache_dir = _trace_cache_dir(args)
-    if cache_dir:
+    """The subcommand's trace (``args.trace``); see :func:`_read_trace`.
+
+    ``synthetic`` is generated in-process.  A capture is read through
+    the configured trace cache, whose hit/miss counters go to
+    ``metrics`` (by default ``obs``, the run's instrumentation, which
+    also times the read as its ``trace_read`` span).
+    """
+    from repro.obs import NULL_OBS
+
+    obs = NULL_OBS if obs is None else obs
+    with obs.span("trace_read"):
+        if args.trace == "synthetic":
+            return nsfnet_hour_trace(duration_s=600)
+        cache_dir = _trace_cache_dir(args)
+        if not cache_dir:
+            return _read_trace(args.trace, read_pcap, allow_empty)
         from repro.trace.store import TraceStore
 
-        store = TraceStore(cache_dir) if obs is None else TraceStore(cache_dir, obs=obs)
-        return store.load_or_build(path)
-    return read_pcap(path)
+        store = TraceStore(cache_dir, obs=obs if metrics is None else metrics)
+        return _read_trace(args.trace, store.load_or_build, allow_empty)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -124,7 +182,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
-    trace = _load_trace(args.trace, args)
+    trace = _load_trace(args)
     print("packets: %d  duration: %.1f s" % (len(trace), trace.duration_us / 1e6))
     print(describe(trace.sizes).row("packet size (bytes)", digits=0))
     iat = trace.interarrivals_us()
@@ -138,9 +196,10 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    trace = _load_trace(args.trace, args)
+    trace = _load_trace(args)
     rng = np.random.default_rng(args.seed)
-    sampler = make_sampler(args.method, args.granularity, trace=trace, rng=rng)
+    with _flag_values():
+        sampler = make_sampler(args.method, args.granularity, trace=trace, rng=rng)
     result = sampler.sample(trace, rng=rng)
     print(
         "%s 1/%d: %d of %d packets (fraction %.5f)"
@@ -195,20 +254,17 @@ def _print_profile(obs) -> None:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     obs = _cli_obs(args)
-    if obs is not None:
-        with obs.span("trace_read"):
-            trace = _load_trace(args.trace, args, obs=obs)
-    else:
-        trace = _load_trace(args.trace, args)
+    trace = _load_trace(args, obs=obs)
     granularities = tuple(2**i for i in range(1, args.max_log2_granularity + 1))
-    grid = ExperimentGrid(
-        methods=tuple(args.methods),
-        granularities=granularities,
-        replications=args.replications,
-        seed=args.seed,
-        targets=(_TARGETS[args.target],),
-    )
-    result = grid.run(trace, **_engine_kwargs(args, obs))
+    with _flag_values():
+        grid = ExperimentGrid(
+            methods=tuple(args.methods),
+            granularities=granularities,
+            replications=args.replications,
+            seed=args.seed,
+            targets=(_TARGETS[args.target],),
+        )
+        result = grid.run(trace, **_engine_kwargs(args, obs))
     columns = {
         method: mean_phi_series(result, args.target, method)
         for method in args.methods
@@ -238,7 +294,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_samplesize(args: argparse.Namespace) -> int:
     from repro.core.samplesize import plan_for_population
 
-    trace = _load_trace(args.trace, args)
+    trace = _load_trace(args)
     quantities = {
         "packet size (B)": trace.sizes.astype(float),
         "interarrival (us)": trace.interarrivals_us().astype(float),
@@ -251,13 +307,14 @@ def _cmd_samplesize(args: argparse.Namespace) -> int:
     for label, values in quantities.items():
         if values.size < 2:
             continue
-        plan = plan_for_population(
-            float(values.mean()),
-            float(values.std()),
-            population_size=int(values.size),
-            accuracy_percent=args.accuracy,
-            confidence=args.confidence,
-        )
+        with _flag_values():
+            plan = plan_for_population(
+                float(values.mean()),
+                float(values.std()),
+                population_size=int(values.size),
+                accuracy_percent=args.accuracy,
+                confidence=args.confidence,
+            )
         print(
             "  %-18s n = %8d  -> sample 1 in %d (fraction %.4f%%)"
             % (
@@ -273,14 +330,14 @@ def _cmd_samplesize(args: argparse.Namespace) -> int:
 def _cmd_fidelity(args: argparse.Namespace) -> int:
     from repro.analysis.temporal import fidelity_series, worst_window
 
-    trace = _load_trace(args.trace, args)
+    trace = _load_trace(args)
     rng = np.random.default_rng(args.seed)
-    sampler = make_sampler(args.method, args.granularity, trace=trace, rng=rng)
-    result = sampler.sample(trace, rng=rng)
-    target = _TARGETS[args.target]
-    points = fidelity_series(
-        trace, result, target, window_us=args.window * 1_000_000
-    )
+    with _flag_values():
+        sampler = make_sampler(args.method, args.granularity, trace=trace, rng=rng)
+        result = sampler.sample(trace, rng=rng)
+        points = fidelity_series(
+            trace, result, _TARGETS[args.target], window_us=args.window * 1_000_000
+        )
     print(
         "windowed fidelity: %s 1-in-%d, target %s, %d s windows"
         % (args.method, args.granularity, args.target, args.window)
@@ -310,29 +367,20 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     from repro.core.evaluation.suite import reproduce_study
 
     obs = _cli_obs(args)
-    if obs is not None:
-        with obs.span("trace_read"):
-            trace = _load_trace(args.trace, args, obs=obs)
-    else:
-        trace = _load_trace(args.trace, args)
-    report = reproduce_study(
-        trace,
-        quick=args.quick,
-        phi_budget=args.phi_budget,
-        replications=args.replications,
-        seed=args.seed,
-        **_engine_kwargs(args, obs),
-    )
+    trace = _load_trace(args, obs=obs)
+    with _flag_values():
+        report = reproduce_study(
+            trace,
+            quick=args.quick,
+            phi_budget=args.phi_budget,
+            replications=args.replications,
+            seed=args.seed,
+            **_engine_kwargs(args, obs),
+        )
     print(report.render())
     if args.profile and not args.run_dir and obs is not None:
         _print_profile(obs)
     return 0
-
-
-def _fail(message: str) -> int:
-    """One-line operational error on stderr; exit status 2."""
-    print("error: %s" % message, file=sys.stderr)
-    return 2
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -353,58 +401,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(report.render(top=args.top))
         return 0
     except FileNotFoundError as error:
-        return _fail(str(error))
+        raise CliError(str(error)) from None
     except (EventLogError, ValueError) as error:
-        return _fail("unreadable run artifacts in %s: %s" % (args.run_dir, error))
+        raise CliError(
+            "unreadable run artifacts in %s: %s" % (args.run_dir, error)
+        ) from None
     except OSError as error:
-        return _fail("cannot read %s: %s" % (args.run_dir, error))
-
-
-def _load_trace_or_fail(
-    path: str,
-    args: Optional[argparse.Namespace] = None,
-    obs=None,
-):
-    """A trace, or ``None`` after printing a one-line error (exit 2)."""
-    from repro.trace.pcap import PcapError
-
-    try:
-        trace = _load_trace(path, args, obs=obs)
-    except FileNotFoundError:
-        _fail("trace file not found: %s" % path)
-        return None
-    except IsADirectoryError:
-        _fail("%s is a directory, not a pcap file" % path)
-        return None
-    except PcapError as error:
-        _fail("unreadable trace %s: %s" % (path, error))
-        return None
-    if not len(trace):
-        _fail("trace %s is empty — nothing to monitor" % path)
-        return None
-    return trace
-
-
-def _monitor_selector(args: argparse.Namespace, trace):
-    """The streaming keep/skip selector for the monitor subcommand."""
-    from repro.core.sampling.streaming import (
-        StreamingStratified,
-        StreamingSystematic,
-        StreamingTimerSystematic,
-    )
-
-    if args.method == "systematic":
-        return StreamingSystematic(args.granularity, phase=args.phase)
-    if args.method == "stratified":
-        rng = np.random.default_rng(args.seed)
-        return StreamingStratified(args.granularity, rng=rng)
-    period_us = args.period_us
-    if not period_us:
-        if len(trace) < 2:
-            raise ValueError("need at least two packets to derive a timer period")
-        mean_iat = trace.duration_us / (len(trace) - 1)
-        period_us = max(mean_iat, 1e-9) * args.granularity
-    return StreamingTimerSystematic(period_us=period_us)
+        raise CliError("cannot read %s: %s" % (args.run_dir, error)) from None
 
 
 #: Default alert rules: the χ² goodness-of-fit test failing hard
@@ -440,9 +443,10 @@ def _window_status_line(stats, active_alerts: int) -> str:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.obs import EVENTS_FILENAME, Instrumentation, write_events
+    from repro.adaptive.drivers import make_selector
+    from repro.core.sampling.timer import mean_interarrival_us
+    from repro.fastpath import monitor_trace
+    from repro.obs import Instrumentation, write_run_dir
     from repro.obs.live import (
         AlertEngine,
         AlertRule,
@@ -452,31 +456,28 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         render_live_metrics,
     )
 
-    specs = args.rule if args.rule else list(DEFAULT_MONITOR_RULES)
-    try:
-        rules = [AlertRule.from_spec(spec) for spec in specs]
-    except ValueError as error:
-        return _fail(str(error))
-    try:
+    obs = Instrumentation()
+    with _flag_values():
+        rules = [AlertRule.from_spec(spec) for spec in args.rule or DEFAULT_MONITOR_RULES]
+        engine = AlertEngine(rules, obs=obs, heartbeat_every=args.heartbeat_every)
         monitor = QualityMonitor(
             window_us=int(args.window * 1_000_000),
             min_scored=args.min_scored,
         )
-    except ValueError as error:
-        return _fail(str(error))
     # The monitor's live store is the cache's counter sink, so
     # trace_cache_hit/miss/bytes ride the same exposition as the
     # sampling-quality metrics.
-    trace = _load_trace_or_fail(args.trace, args, obs=monitor.store)
-    if trace is None:
-        return 2
-    try:
-        selector = _monitor_selector(args, trace)
-    except ValueError as error:
-        return _fail(str(error))
-
-    obs = Instrumentation()
-    engine = AlertEngine(rules, obs=obs, heartbeat_every=args.heartbeat_every)
+    trace = _load_trace(args, metrics=monitor.store)
+    with _flag_values():
+        if args.method == "timer-systematic":
+            # monitor's --period-us is the whole period (adapt's is per
+            # unit granularity), so the timer runs at granularity 1.
+            period_us = args.period_us or mean_interarrival_us(trace) * args.granularity
+            selector = make_selector(args.method, 1, unit_period_us=period_us)
+        else:
+            selector = make_selector(
+                args.method, args.granularity, seed=args.seed, phase=args.phase
+            )
     exporter = TextfileExporter(args.metrics_out) if args.metrics_out else None
     server = None
     if args.serve_port is not None:
@@ -497,14 +498,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         % (args.trace, args.method, args.granularity, args.window, len(trace))
     )
 
-    raised = 0
-
     def handle_window(stats) -> None:
-        nonlocal raised
         obs.event("window", **stats.as_dict())
         for alert in engine.observe(stats):
-            if alert.kind == "alert_raised":
-                raised += 1
             print(
                 "ALERT %s: %s %s (value %.4f at window %d)"
                 % (
@@ -520,33 +516,10 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         if exporter is not None:
             exporter.export(monitor.store)
 
-    kernel = None
-    if args.fastpath != "off":
-        from repro.fastpath import chunk_kernel_for
-
-        kernel = chunk_kernel_for(selector)
     try:
-        if kernel is not None:
-            from repro.fastpath import iter_trace_chunks, run_monitor
-
-            run_monitor(
-                iter_trace_chunks(trace),
-                kernel,
-                monitor,
-                on_window=handle_window,
-            )
-        else:
-            # The per-packet reference loop (--fastpath off): the
-            # executable semantics the fast path is pinned against.
-            timestamps = trace.timestamps_us.tolist()
-            sizes = trace.sizes.tolist()
-            for timestamp, size in zip(timestamps, sizes):
-                kept = selector.offer(timestamp)
-                for stats in monitor.observe(timestamp, float(size), kept):
-                    handle_window(stats)
-        final = monitor.flush()
-        if final is not None:
-            handle_window(final)
+        monitor_trace(
+            trace, selector, monitor, handle_window, fastpath=args.fastpath != "off"
+        )
     finally:
         if server is not None:
             server.close()
@@ -558,10 +531,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         alerts_active=len(engine.active),
     )
     if args.run_dir:
-        os.makedirs(args.run_dir, exist_ok=True)
-        write_events(os.path.join(args.run_dir, EVENTS_FILENAME), obs.events)
-        with open(os.path.join(args.run_dir, "metrics.prom"), "w") as stream:
-            stream.write(render_live_metrics(monitor.store))
+        write_run_dir(args.run_dir, obs.events, render_live_metrics(monitor.store))
         print("monitor artifacts in %s" % args.run_dir)
     print(
         "done: %d windows, %d alerts raised, %d still active"
@@ -593,20 +563,15 @@ def _adapt_policy(args: argparse.Namespace):
 
 
 def _cmd_adapt(args: argparse.Namespace) -> int:
-    import os
-
     from repro.adaptive import (
         AdaptiveController,
         ControllerConfig,
         run_adaptive,
     )
-    from repro.obs import EVENTS_FILENAME, Instrumentation, write_events
-    from repro.obs.live import render_live_metrics
+    from repro.obs import Instrumentation, write_run_dir
+    from repro.obs.live import QualityMonitor, render_live_metrics
 
-    trace = _load_trace_or_fail(args.trace, args)
-    if trace is None:
-        return 2
-    try:
+    with _flag_values():
         policy = _adapt_policy(args)
         config = ControllerConfig(
             initial_granularity=args.initial_granularity,
@@ -618,8 +583,13 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         controller = AdaptiveController(policy, config)
-    except ValueError as error:
-        return _fail(str(error))
+        monitor = QualityMonitor(
+            window_us=int(args.window * 1_000_000),
+            min_scored=args.min_scored,
+        )
+    # As in monitor: the live store counts the trace cache's hits and
+    # misses into metrics.prom.
+    trace = _load_trace(args, metrics=monitor.store)
 
     obs = Instrumentation()
     obs.event(
@@ -663,22 +633,19 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
     def on_window(stats) -> None:
         obs.event("window", **stats.as_dict())
 
-    try:
+    with _flag_values():
         result = run_adaptive(
             trace,
             controller,
             method=args.method,
-            window_us=int(args.window * 1_000_000),
-            min_scored=args.min_scored,
             fastpath=args.fastpath != "off",
             phase=args.phase,
             unit_period_us=args.period_us,
+            monitor=monitor,
             obs=obs,
             on_window=on_window,
             on_decision=show_decision,
         )
-    except ValueError as error:
-        return _fail(str(error))
 
     obs.event(
         "adapt_end",
@@ -710,27 +677,15 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         )
     )
     if args.csv:
-        _write_csv(
-            args.csv,
-            [
-                "window", "start_us", "end_us", "offered", "sampled",
-                "policy", "proposed", "applied", "granularity_before",
-                "granularity_after", "reason",
-            ],
-            [
-                [
-                    d.window, d.start_us, d.end_us, d.offered, d.sampled,
-                    d.policy, d.proposed, d.applied, d.granularity_before,
-                    d.granularity_after, d.reason,
-                ]
-                for d in result.decisions
-            ],
-        )
+        fields = [
+            "window", "start_us", "end_us", "offered", "sampled", "policy",
+            "proposed", "applied", "granularity_before", "granularity_after",
+            "reason",
+        ]
+        rows = [[getattr(d, field) for field in fields] for d in result.decisions]
+        _write_csv(args.csv, fields, rows)
     if args.run_dir:
-        os.makedirs(args.run_dir, exist_ok=True)
-        write_events(os.path.join(args.run_dir, EVENTS_FILENAME), obs.events)
-        with open(os.path.join(args.run_dir, "metrics.prom"), "w") as stream:
-            stream.write(render_live_metrics(result.monitor.store))
+        write_run_dir(args.run_dir, obs.events, render_live_metrics(monitor.store))
         print("adapt artifacts in %s" % args.run_dir)
     return 0
 
@@ -738,7 +693,7 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.trace.validate import validate_trace
 
-    trace = _load_trace(args.trace, args)
+    trace = _load_trace(args, allow_empty=True)
     issues = validate_trace(trace)
     if not issues:
         print("clean: %d packets, no findings" % len(trace))
@@ -753,14 +708,15 @@ def _cmd_netmon(args: argparse.Namespace) -> int:
     from repro.netmon.nnstat import NNStatCollector
     from repro.netmon.node import BackboneNode
 
-    trace = _load_trace(args.trace, args)
-    node = BackboneNode(
-        "node",
-        NNStatCollector(
-            capacity_pps=args.capacity,
-            sampling_granularity=args.granularity,
-        ),
-    )
+    trace = _load_trace(args)
+    with _flag_values():
+        node = BackboneNode(
+            "node",
+            NNStatCollector(
+                capacity_pps=args.capacity,
+                sampling_granularity=args.granularity,
+            ),
+        )
     node.process_trace(trace)
     snmp = node.interface.packets
     estimate = node.collector.estimated_total_packets()
@@ -800,55 +756,48 @@ def _write_csv(path: str, header: List[str], rows: List[List[object]]) -> None:
 
 
 def _flows_aggregate(args: argparse.Namespace):
-    """The trace->records aggregation the flow flags select.
-
-    Each call aggregates through a fresh table built from the cache
-    flags: the chunked fast path unless ``--fastpath off``, which
-    selects the per-packet reference (:func:`aggregate_trace`).
-    """
+    """The ``aggregate(trace, table=...)`` the flow flags select: the
+    chunked fast path unless ``--fastpath off``, which selects the
+    per-packet reference (:func:`aggregate_trace`)."""
     if args.fastpath == "off":
         from repro.flows.table import aggregate_trace as aggregate
     else:
         from repro.fastpath import fast_aggregate_trace as aggregate
-
-    return lambda trace: aggregate(trace, table=_flow_table_from_args(args))
+    return aggregate
 
 
 def _flows_study(args: argparse.Namespace, trace):
-    """Draw one sample and build the parent/sampled flow populations."""
+    """Draw one sample and build the parent/sampled flow populations,
+    each aggregated through a fresh table built from the cache flags."""
     from repro.flows.sampled import flow_study
 
+    aggregate = _flows_aggregate(args)
     rng = np.random.default_rng(args.seed)
     sampler = make_sampler(args.method, args.granularity, trace=trace, rng=rng)
-    return flow_study(trace, sampler, rng=rng, aggregate=_flows_aggregate(args))
+    return flow_study(
+        trace,
+        sampler,
+        rng=rng,
+        aggregate=lambda t: aggregate(t, table=_flow_table_from_args(args)),
+    )
 
 
 def _cmd_flows(args: argparse.Namespace) -> int:
-    trace = _load_trace_or_fail(args.trace, args)
-    if trace is None:
-        return 2
+    trace = _load_trace(args)
     if args.granularity < 1:
-        return _fail("granularity must be >= 1, got %d" % args.granularity)
+        raise CliError("granularity must be >= 1, got %d" % args.granularity)
     if args.mode in ("invert", "compare") and args.granularity < 2:
-        return _fail(
+        raise CliError(
             "mode %r inverts 1-in-N sampling and needs --granularity >= 2"
             % args.mode
         )
-    try:
+    with _flag_values():
         table = _flow_table_from_args(args)
-    except ValueError as error:
-        return _fail(str(error))
 
     if args.mode == "aggregate":
         from repro.flows.sampled import FlowSet
-        from repro.flows.table import aggregate_trace
 
-        if args.fastpath != "off":
-            from repro.fastpath import fast_aggregate_trace
-
-            records = fast_aggregate_trace(trace, table=table)
-        else:
-            records = aggregate_trace(trace, table=table)
+        records = _flows_aggregate(args)(trace, table=table)
         flows = FlowSet(records=tuple(records))
         stats = table.stats()
         print(
@@ -867,22 +816,12 @@ def _cmd_flows(args: argparse.Namespace) -> int:
         for reason in ("idle", "active", "evicted", "flush"):
             print("  exported (%s): %d" % (reason, stats["exported_" + reason]))
         if args.csv:
-            _write_csv(
-                args.csv,
-                [
-                    "src_net", "dst_net", "src_port", "dst_port",
-                    "protocol", "packets", "bytes", "first_us",
-                    "last_us", "reason",
-                ],
-                [
-                    [
-                        r.src_net, r.dst_net, r.src_port, r.dst_port,
-                        r.protocol, r.packets, r.bytes, r.first_us,
-                        r.last_us, r.reason,
-                    ]
-                    for r in records
-                ],
-            )
+            fields = [
+                "src_net", "dst_net", "src_port", "dst_port", "protocol",
+                "packets", "bytes", "first_us", "last_us", "reason",
+            ]
+            rows = [[getattr(r, field) for field in fields] for r in records]
+            _write_csv(args.csv, fields, rows)
         return 0
 
     study = _flows_study(args, trace)
@@ -923,7 +862,7 @@ def _cmd_flows(args: argparse.Namespace) -> int:
 
     sampled_sizes = study.sampled.sizes()
     if sampled_sizes.size == 0:
-        return _fail(
+        raise CliError(
             "the sample contains no flows; lower --granularity or use a "
             "longer trace"
         )
@@ -985,12 +924,10 @@ def _cmd_flows(args: argparse.Namespace) -> int:
     # compare: score naive vs EM against ground truth.
     from repro.flows.inversion import compare_estimators
 
-    try:
+    with _flag_values():
         scores = compare_estimators(
             study.parent.sizes(), sampled_sizes, args.granularity
         )
-    except ValueError as error:
-        return _fail(str(error))
     print(
         "estimator disparity vs. ground truth (%d parent flows, "
         "%s 1/%d):" % (len(study.parent), args.method, args.granularity)
@@ -1024,30 +961,22 @@ def _cmd_flows(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.trace.pcap import PcapError
     from repro.trace.store import TraceStore
 
     cache_dir = _trace_cache_dir(args)
     if not cache_dir:
-        return _fail(
+        raise CliError(
             "no trace cache configured; pass --trace-cache DIR (before "
             "the subcommand) or set REPRO_TRACE_CACHE"
         )
     if args.trace == "synthetic":
-        return _fail(
+        raise CliError(
             "the synthetic trace is generated in-process and is never cached"
         )
     store = TraceStore(cache_dir)
 
     if args.action == "build":
-        try:
-            trace = store.build(args.trace)
-        except FileNotFoundError:
-            return _fail("trace file not found: %s" % args.trace)
-        except IsADirectoryError:
-            return _fail("%s is a directory, not a pcap file" % args.trace)
-        except PcapError as error:
-            return _fail("unreadable trace %s: %s" % (args.trace, error))
+        trace = _read_trace(args.trace, store.build)
         print(
             "built cache entry for %s: %d packets at %s"
             % (args.trace, len(trace), store.entry_dir(args.trace))
@@ -1576,16 +1505,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns the process exit status."""
+    """Entry point; returns the exit status the module docstring lists."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except CliError as error:
+        print("error: %s" % error, file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; exit quietly the way
         # well-behaved Unix tools do.
-        import os
-
         try:
             os.close(sys.stdout.fileno())
         except OSError:

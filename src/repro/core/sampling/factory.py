@@ -63,6 +63,9 @@ def make_sampler(
         Randomness for the random-phase convenience; the samplers
         themselves take their rng at :meth:`Sampler.sample` time.
     """
+    # Checked before a random phase is drawn from [0, granularity).
+    if granularity < 1:
+        raise ValueError("granularity must be >= 1, got %d" % granularity)
     if method == "systematic":
         if phase == 0 and rng is not None:
             phase = int(require_rng(rng).integers(0, granularity))

@@ -29,6 +29,13 @@ from repro.core.sampling.base import Sampler, require_rng
 from repro.trace.trace import Trace
 
 
+def mean_interarrival_us(trace: Trace) -> float:
+    """The trace's mean packet gap: a timer's period per unit granularity."""
+    if len(trace) < 2:
+        raise ValueError("need at least two packets to derive a timer period")
+    return max(trace.duration_us / (len(trace) - 1), 1e-9)
+
+
 class TimerSampler(Sampler):
     """Common trigger machinery for timer-driven methods.
 
@@ -70,10 +77,7 @@ class TimerSampler(Sampler):
         """
         if granularity < 1:
             raise ValueError("granularity must be >= 1, got %d" % granularity)
-        if len(trace) < 2:
-            raise ValueError("need at least two packets to derive a timer period")
-        mean_iat = trace.duration_us / (len(trace) - 1)
-        return cls(period_us=max(mean_iat, 1e-9) * granularity)
+        return cls(period_us=mean_interarrival_us(trace) * granularity)
 
     def _firing_times(
         self, start_us: int, stop_us: int, rng: Optional[np.random.Generator]

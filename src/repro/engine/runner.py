@@ -94,7 +94,7 @@ from repro.engine.worker import (
     records_digest,
     run_shard_task,
 )
-from repro.obs.events import EVENTS_FILENAME, write_events
+from repro.obs.events import write_run_dir
 from repro.obs.exposition import render_prometheus
 from repro.obs.instrument import NULL_OBS, Instrumentation
 from repro.trace.trace import Trace
@@ -285,14 +285,11 @@ class ParallelRunner:
             )
             if self.run_dir is not None:
                 if obs.enabled:
-                    write_events(
-                        os.path.join(self.run_dir, EVENTS_FILENAME),
+                    write_run_dir(
+                        self.run_dir,
                         obs.events,
+                        render_prometheus(obs.snapshot()),
                     )
-                    with open(
-                        os.path.join(self.run_dir, "metrics.prom"), "w"
-                    ) as stream:
-                        stream.write(render_prometheus(obs.snapshot()))
                 telemetry.write_manifest(self.run_dir)
 
         self.quarantined = dict(execution.quarantined)

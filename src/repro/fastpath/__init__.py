@@ -47,6 +47,7 @@ from repro.fastpath.pipeline import (
     ChunkSelector,
     chunk_kernel_for,
     iter_trace_chunks,
+    monitor_trace,
     run_monitor,
 )
 
@@ -59,6 +60,7 @@ __all__ = [
     "encode_flow_keys",
     "fast_aggregate_trace",
     "iter_trace_chunks",
+    "monitor_trace",
     "observe_chunk",
     "run_monitor",
 ]

@@ -5,10 +5,10 @@ The glue between the kernels: split an in-memory
 views, the same shape :func:`~repro.trace.pcap.iter_pcap` yields
 straight off disk), ask the streaming selector for each chunk's keep
 mask, and feed the mask to the live quality monitor — and optionally a
-flow-accounting kernel — chunk by chunk.  ``repro-traffic monitor
---fastpath`` and the ``flows`` subcommand run on this path;
-``--fastpath off`` keeps the per-packet loop as the executable
-reference.
+flow-accounting kernel — chunk by chunk.  :func:`monitor_trace` is the
+whole-trace entry point ``repro-traffic monitor`` calls; with
+``fastpath=False`` (``--fastpath off``) it runs the per-packet loop
+that is the executable reference.
 """
 
 from typing import (
@@ -33,6 +33,7 @@ __all__ = [
     "DEFAULT_CHUNK_PACKETS",
     "chunk_kernel_for",
     "iter_trace_chunks",
+    "monitor_trace",
     "run_monitor",
 ]
 
@@ -114,3 +115,32 @@ def run_monitor(
         )
         offered += len(chunk)
     return offered
+
+
+def monitor_trace(
+    trace: Trace,
+    selector: StreamingSampler,
+    monitor: QualityMonitor,
+    on_window: Callable[[WindowStats], None],
+    fastpath: bool = True,
+) -> None:
+    """Monitor a whole trace through ``selector``, final window included.
+
+    ``fastpath`` switches between :func:`run_monitor` over the trace's
+    chunks and the per-packet reference loop, which also serves
+    selectors without a chunk path; ``on_window`` sees the same
+    windows in the same order either way, the flushed last one too.
+    """
+    kernel = chunk_kernel_for(selector) if fastpath else None
+    if kernel is not None:
+        run_monitor(iter_trace_chunks(trace), kernel, monitor, on_window=on_window)
+    else:
+        timestamps = trace.timestamps_us.tolist()
+        sizes = trace.sizes.tolist()
+        for timestamp, size in zip(timestamps, sizes):
+            kept = selector.offer(timestamp)
+            for stats in monitor.observe(timestamp, float(size), kept):
+                on_window(stats)
+    final = monitor.flush()
+    if final is not None:
+        on_window(final)

@@ -28,6 +28,7 @@ from repro.obs.events import (
     read_events,
     span_tree,
     write_events,
+    write_run_dir,
 )
 from repro.obs.exposition import render_prometheus
 from repro.obs.instrument import (
@@ -58,4 +59,5 @@ __all__ = [
     "render_prometheus",
     "span_tree",
     "write_events",
+    "write_run_dir",
 ]

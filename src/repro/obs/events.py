@@ -39,6 +39,8 @@ from repro.obs.instrument import SCHEMA_VERSION
 
 #: File name of the event log inside a run directory.
 EVENTS_FILENAME = "events.jsonl"
+#: File name of the Prometheus exposition inside a run directory.
+METRICS_FILENAME = "metrics.prom"
 
 
 class EventLogError(ValueError):
@@ -64,6 +66,15 @@ def write_events(path: str, events: List[Dict[str, Any]]) -> str:
             stream.write(json.dumps(entry, sort_keys=True))
             stream.write("\n")
     return path
+
+
+def write_run_dir(run_dir: str, events: List[Dict[str, Any]], metrics: str) -> None:
+    """Write a run directory (created if missing): its event log, and
+    ``metrics`` — rendered exposition text — as its metrics file."""
+    os.makedirs(run_dir, exist_ok=True)
+    write_events(os.path.join(run_dir, EVENTS_FILENAME), events)
+    with open(os.path.join(run_dir, METRICS_FILENAME), "w") as stream:
+        stream.write(metrics)
 
 
 def read_events(path: str) -> List[Event]:

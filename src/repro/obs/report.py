@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.events import EVENTS_FILENAME, Event, read_events
+from repro.obs.events import EVENTS_FILENAME, METRICS_FILENAME, Event, read_events
 
 #: Event kinds shown on the retry/fault timeline, in display order of
 #: their ``seq`` numbers.
@@ -213,7 +213,7 @@ class RunReport:
 
 def render_metrics(run_dir: str) -> Optional[str]:
     """The run's Prometheus exposition text, if the run wrote one."""
-    path = os.path.join(run_dir, "metrics.prom")
+    path = os.path.join(run_dir, METRICS_FILENAME)
     if not os.path.exists(path):
         return None
     with open(path) as stream:

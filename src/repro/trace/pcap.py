@@ -229,9 +229,13 @@ def _parse_global_header(head: bytes) -> Tuple[struct.Struct, bool]:
 _Record = Tuple[int, int, int, int, int, int, int]
 
 
-def _iter_records(stream: BinaryIO, record_hdr: struct.Struct) -> Iterator[_Record]:
+def _iter_records(
+    stream: BinaryIO, record_hdr: struct.Struct, first_index: int
+) -> Iterator[_Record]:
     """The per-record reference parser (the executable specification
-    the vectorized codec is pinned against)."""
+    the vectorized codec is pinned against).  ``first_index`` is the
+    file-wide index of the stream's first record, for diagnostics."""
+    index = first_index
     while True:
         raw = stream.read(record_hdr.size)
         if not raw:
@@ -239,6 +243,11 @@ def _iter_records(stream: BinaryIO, record_hdr: struct.Struct) -> Iterator[_Reco
         if len(raw) != record_hdr.size:
             raise PcapError("truncated pcap record header")
         ts_sec, ts_usec, incl_len, orig_len = record_hdr.unpack(raw)
+        if ts_usec >= 1_000_000:
+            raise PcapError(
+                "microsecond field out of range at record index %d: %d"
+                % (index, ts_usec)
+            )
         payload = _read_exactly(stream, incl_len)
         if incl_len < _IP_HEADER_LEN:
             raise PcapError("record captured %d bytes, below IP header" % incl_len)
@@ -270,6 +279,7 @@ def _iter_records(stream: BinaryIO, record_hdr: struct.Struct) -> Iterator[_Reco
             src_port,
             dst_port,
         )
+        index += 1
 
 
 _ColumnTuple = Tuple[
@@ -313,6 +323,11 @@ class _ChunkBuilder:
         self._buffered = 0
         self._emitted = 0
         self._last_us: Optional[int] = None
+
+    @property
+    def pushed(self) -> int:
+        """Records pushed so far, emitted or still buffered."""
+        return self._emitted + self._buffered
 
     def push(self, columns: _ColumnTuple) -> List[Trace]:
         if len(columns[0]):
@@ -433,7 +448,7 @@ def iter_pcap(
         )
 
     batch: List[_Record] = []
-    for record in _iter_records(source, record_hdr):
+    for record in _iter_records(source, record_hdr, builder.pushed):
         batch.append(record)
         if len(batch) >= chunk_packets:
             for chunk in builder.push(_columns_from_records(batch)):

@@ -293,6 +293,9 @@ def _decode_block(
         # The reference path would overflow int32 conversion; let it
         # produce whatever diagnostic it produces.
         raise FastpathUnsupported("original length exceeds int32", resume)
+    if k and int(usec.max()) >= 1_000_000:
+        # The reference loop names the record whose field is out of range.
+        raise FastpathUnsupported("microsecond field out of range", resume)
 
     timestamps = sec.astype(np.int64) * 1_000_000 + usec
     sizes = orig.astype(np.int32)

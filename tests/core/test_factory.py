@@ -36,6 +36,15 @@ class TestMakeSampler:
         with pytest.raises(ValueError, match="unknown sampling method"):
             make_sampler("bogus", 50)
 
+    @pytest.mark.parametrize("seeded", [False, True], ids=["no-rng", "rng"])
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_zero_granularity_is_rejected(self, method, seeded, minute_trace):
+        # Checked before the random systematic phase is drawn from
+        # [0, granularity), which numpy would reject on its own terms.
+        rng = np.random.default_rng(0) if seeded else None
+        with pytest.raises(ValueError, match=r"granularity must be >= 1, got 0"):
+            make_sampler(method, 0, trace=minute_trace, rng=rng)
+
     def test_timer_requires_trace(self):
         with pytest.raises(ValueError, match="trace"):
             make_sampler("timer-systematic", 50)

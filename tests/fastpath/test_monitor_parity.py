@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.sampling.streaming import StreamingStratified
 from repro.fastpath.monitor import observe_chunk
+from repro.fastpath.pipeline import monitor_trace
 from repro.obs.live.monitor import QualityMonitor
 
 WINDOW_US = 100_000
@@ -195,3 +197,19 @@ class TestValidation:
         empty = np.asarray([], dtype=np.int64)
         assert observe_chunk(monitor, empty, empty.astype(float), empty.astype(bool)) == ()
         assert monitor._prev_timestamp is None
+
+
+class TestMonitorTrace:
+    def test_fastpath_switch_is_invisible(self, minute_trace):
+        # Chunked and per-packet runs deliver the same windows to
+        # on_window, the flushed last one included, and the same store.
+        subset = minute_trace.slice_packets(0, 6000)
+        runs = []
+        for fastpath in (True, False):
+            monitor = QualityMonitor(window_us=2_000_000)
+            selector = StreamingStratified(20, rng=np.random.default_rng(5))
+            windows = []
+            monitor_trace(subset, selector, monitor, windows.append, fastpath=fastpath)
+            assert len(windows) == monitor.windows_closed
+            runs.append(([w.as_dict() for w in windows], monitor.store.snapshot()))
+        assert runs[0] == runs[1]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.flows.table import FlowTable, aggregate_trace
-from repro.trace.pcap import read_pcap
+from repro.trace.pcap import PcapError, read_pcap
 
 
 class TestParser:
@@ -24,19 +24,154 @@ class TestParser:
             build_parser().parse_args(["sample", "x", "--method", "bogus"])
 
 
+def _patch_u32(offset, value):
+    """A corruption overwriting one little-endian u32 of the capture."""
+    return lambda raw: raw[:offset] + struct.pack("<I", value) + raw[offset + 4 :]
+
+
+#: Ways a capture can be unusable, each applied to the bytes of one
+#: valid capture (24-byte global header; the first record's header
+#: holds ts_usec at 28 and incl_len at 32, its IP header starts at 40).
+#: ``None`` entries are not files: a missing path and a directory.
+CORRUPTIONS = {
+    "missing-file": None,
+    "directory": None,
+    "empty-file": lambda raw: b"",
+    "10-byte-header": lambda raw: raw[:10],
+    "bad-magic": _patch_u32(0, 0xDEADBEEF),
+    "pcapng-magic": _patch_u32(0, 0x0A0D0D0A),
+    "ethernet-link-type": _patch_u32(20, 1),
+    "incl-len-huge": _patch_u32(32, 0x7FFFFFFF),
+    "incl-len-0": _patch_u32(32, 0),
+    "incl-len-12": _patch_u32(32, 12),
+    "ipv6-version": lambda raw: raw[:40] + b"\x60" + raw[41:],
+    "usec-1500000": _patch_u32(28, 1_500_000),
+    "header-only": lambda raw: raw[:24],
+}
+
+#: Every trace-reading subcommand; TRACE stands for the capture path.
+TRACE_COMMANDS = {
+    name: [name, "TRACE"]
+    for name in (
+        "describe", "validate", "sample", "experiment", "samplesize",
+        "netmon", "reproduce", "fidelity", "monitor", "adapt",
+    )
+}
+TRACE_COMMANDS["flows"] = ["flows", "TRACE", "aggregate"]
+
+
+def _argv(template, path):
+    return [path if arg == "TRACE" else arg for arg in template]
+
+
+@pytest.fixture(scope="module")
+def clean_pcap(tmp_path_factory):
+    """One valid 5 s capture."""
+    from repro.trace.pcap import write_pcap
+    from repro.workload.generator import nsfnet_hour_trace
+
+    path = tmp_path_factory.mktemp("capture") / "t.pcap"
+    write_pcap(nsfnet_hour_trace(seed=7, duration_s=5), str(path))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def malformed(clean_pcap, tmp_path_factory):
+    """Path of each corruption of ``clean_pcap``, by case name."""
+    root = tmp_path_factory.mktemp("malformed")
+    with open(clean_pcap, "rb") as stream:
+        raw = stream.read()
+    paths = {"missing-file": str(root / "missing.pcap")}
+    (root / "directory").mkdir()
+    paths["directory"] = str(root / "directory")
+    for case, corrupt in CORRUPTIONS.items():
+        if corrupt is not None:
+            path = root / ("%s.pcap" % case)
+            path.write_bytes(corrupt(raw))
+            paths[case] = str(path)
+    return paths
+
+
+class TestMalformedInput:
+    """Unusable input is one ``error:`` line and exit 2, never a
+    traceback, whether or not the read goes through the trace cache."""
+
+    @pytest.mark.parametrize("command", sorted(TRACE_COMMANDS))
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_one_line_error(self, case, command, malformed, tmp_path, capsys):
+        path = malformed[case]
+        argv = _argv(TRACE_COMMANDS[command], path)
+        lines = []
+        for route in ([], ["--trace-cache", str(tmp_path / "cache")]):
+            code = main(route + argv)
+            out, err = capsys.readouterr()
+            if (case, command) == ("header-only", "validate"):
+                # An empty capture is a validate finding, not an error.
+                assert (code, err) == (0, "")
+                assert "warning: trace is empty" in out
+                continue
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert path in err and "Traceback" not in err
+            lines.append(err)
+        assert len(set(lines)) <= 1
+
+    @pytest.mark.parametrize(
+        "case", sorted(set(CORRUPTIONS) - {"missing-file", "directory"})
+    )
+    def test_both_codecs_agree(self, case, malformed):
+        outcomes = []
+        for fastpath in ("on", "off"):
+            try:
+                outcomes.append(len(read_pcap(malformed[case], fastpath=fastpath)))
+            except PcapError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_cache_build_fails_like_the_loader(
+        self, case, malformed, tmp_path, capsys
+    ):
+        path = malformed[case]
+        assert main(["describe", path]) == 2
+        expected = capsys.readouterr().err
+        cache = str(tmp_path / "cache")
+        assert main(["--trace-cache", cache, "cache", path, "build"]) == 2
+        assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["experiment", "TRACE", "--chaos", "bogus"],
+                "bad chaos spec item 'bogus' (expected key=value)",
+            ),
+            (["experiment", "TRACE", "--jobs", "0"], "jobs must be >= 1, got 0"),
+            (
+                ["sample", "TRACE", "--granularity", "0"],
+                "granularity must be >= 1, got 0",
+            ),
+            (
+                ["fidelity", "TRACE", "--window", "0"],
+                "window length must be positive",
+            ),
+            (
+                ["netmon", "TRACE", "--capacity", "0"],
+                "capacity must be at least 1 packet/s",
+            ),
+            (
+                ["samplesize", "TRACE", "--confidence", "2"],
+                "confidence must be in (0, 1), got 2.0",
+            ),
+        ],
+        ids=["chaos", "jobs", "granularity", "window", "capacity", "confidence"],
+    )
+    def test_rejected_flag_value(self, argv, message, clean_pcap, capsys):
+        assert main(_argv(argv, clean_pcap)) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+
+
 class TestErrorPaths:
-    def test_missing_pcap_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["describe", str(tmp_path / "missing.pcap")])
-
-    def test_garbage_pcap_file(self, tmp_path):
-        from repro.trace.pcap import PcapError
-
-        path = tmp_path / "garbage.pcap"
-        path.write_bytes(b"this is not a pcap file at all, sorry......")
-        with pytest.raises(PcapError):
-            main(["sample", str(path)])
-
     def test_bad_granularity_type(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
@@ -572,6 +707,27 @@ class TestAdaptCommand:
         assert "adapt_end" in events
         metrics = (run_dir / "metrics.prom").read_text()
         assert "adaptive_granularity" in metrics
+
+    def test_adapt_run_dir_counts_trace_cache(self, tmp_path, capsys):
+        # Like monitor, adapt reads through the cache into its live
+        # store, so metrics.prom records the miss, then the hit.
+        trace_path = str(tmp_path / "t.pcap")
+        main(["generate", trace_path, "--duration", "20", "--seed", "5"])
+        cache = ["--trace-cache", str(tmp_path / "cache")]
+        for route, expected in (
+            ([], None),
+            (cache, "repro_trace_cache_miss_total 1\n"),
+            (cache, "repro_trace_cache_hit_total 1\n"),
+        ):
+            run_dir = tmp_path / "run"
+            argv = ["adapt", trace_path, "--window", "5", "--run-dir", str(run_dir)]
+            assert main(route + argv) == 0
+            metrics = (run_dir / "metrics.prom").read_text()
+            if expected is None:
+                assert "trace_cache" not in metrics
+            else:
+                assert expected in metrics
+        capsys.readouterr()
 
     def test_adapt_fastpath_toggle_is_invisible(self, tmp_path, capsys):
         trace_path = str(tmp_path / "t.pcap")

@@ -164,6 +164,37 @@ class TestCodecIdentity:
             "time goes backwards at record index 10: 0 us after 7200 us"
         ] * 2
 
+    @pytest.mark.parametrize("where", ["first", "mid", "seam"])
+    def test_microsecond_overflow_error_parity(
+        self, where, tiny_trace, monkeypatch
+    ):
+        # A microsecond field >= 10**6 is malformed: both decoders name
+        # the record carrying it (not its successor, which would seem to
+        # go back in time) — as the first record, mid-file, and as the
+        # first record of a later vectorized block.
+        raw = bytearray(pcap_bytes(tiny_trace))
+        offsets = [24]
+        for _ in range(len(tiny_trace) - 1):
+            incl = struct.unpack_from("<I", raw, offsets[-1] + 8)[0]
+            offsets.append(offsets[-1] + 16 + incl)
+        if where == "seam":
+            monkeypatch.setattr("repro.trace.store.DEFAULT_BLOCK_BYTES", 200)
+            blocks = iter_decoded_columns(bytes(raw[24:]), False)
+            index = len(next(blocks)[0])
+            assert 0 < index < len(tiny_trace)
+        else:
+            index = {"first": 0, "mid": 5}[where]
+        struct.pack_into("<I", raw, offsets[index] + 4, 1_500_000)
+        errors = []
+        for fastpath in ("on", "off"):
+            with pytest.raises(PcapError) as excinfo:
+                read_pcap(io.BytesIO(bytes(raw)), fastpath=fastpath)
+            errors.append(str(excinfo.value))
+        assert errors == [
+            "microsecond field out of range at record index %d: 1500000"
+            % index
+        ] * 2
+
     @settings(max_examples=30, deadline=None)
     @given(chunk_packets=st.integers(min_value=1, max_value=60))
     def test_chunking_invariance(self, chunk_packets, minute_trace):
