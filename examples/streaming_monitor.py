@@ -16,7 +16,10 @@ predecessor-gap into O(1) window accumulators; each closed window is
 scored (φ, χ² significance, l₁ cost) against its own population and
 fed to an :class:`AlertEngine` with a φ degradation rule.  The timer
 design must page the operator; the packet design must stay quiet.
-The same loop is what `repro-traffic monitor <trace.pcap>` runs.
+Monitor and alert engine share one :class:`~repro.obs.Instrumentation`
+registry, so a single exposition carries the quality metrics and the
+alert counters.  The same loop is what `repro-traffic monitor
+<trace.pcap>` runs.
 
 Run:  python examples/streaming_monitor.py
 """
@@ -27,7 +30,8 @@ from repro.core.sampling.streaming import (
     StreamingSystematic,
     StreamingTimerSystematic,
 )
-from repro.obs.live import AlertEngine, AlertRule, QualityMonitor, render_live_metrics
+from repro.obs import Instrumentation, render_prometheus
+from repro.obs.live import AlertEngine, AlertRule, QualityMonitor
 
 GRANULARITY = 20
 WINDOW_US = 5_000_000
@@ -47,9 +51,10 @@ def bursty_trace(duration_s=20, burst_n=37, iat_us=300, gap_us=9000, seed=55):
 
 
 def monitor_stream(label, selector, timestamps, sizes):
-    """One live monitoring session; returns (monitor, engine)."""
-    monitor = QualityMonitor(window_us=WINDOW_US)
-    engine = AlertEngine([AlertRule.from_spec(RULE)])
+    """One live monitoring session; returns (registry, engine)."""
+    obs = Instrumentation()
+    monitor = QualityMonitor(window_us=WINDOW_US, store=obs)
+    engine = AlertEngine([AlertRule.from_spec(RULE)], obs=obs)
     print("%s selection, rule %s:" % (label, RULE))
 
     def report(stats):
@@ -83,7 +88,7 @@ def monitor_stream(label, selector, timestamps, sizes):
         else "healthy — no alerts"
     )
     print("  verdict: %s\n" % verdict)
-    return monitor, engine
+    return obs, engine
 
 
 def main() -> None:
@@ -95,7 +100,7 @@ def main() -> None:
         % (len(timestamps), duration_us / 1e6, GRANULARITY)
     )
 
-    monitor, engine = monitor_stream(
+    obs, engine = monitor_stream(
         "packet-driven (1-in-%d count)" % GRANULARITY,
         StreamingSystematic(GRANULARITY),
         timestamps,
@@ -115,7 +120,7 @@ def main() -> None:
         "the paper scores (Section 7.1.2)."
     )
 
-    exposition = render_live_metrics(monitor.store)
+    exposition = render_prometheus(obs.snapshot())
     print("\nOpenMetrics exposition of the healthy run (first lines):")
     for line in exposition.splitlines()[:6]:
         print("  " + line)

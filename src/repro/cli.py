@@ -25,9 +25,10 @@ The subcommands (one bullet each, kept in lockstep with the parser by
   against ground truth; ``--csv`` saves the mode's table;
 * ``reproduce`` — the paper's whole analysis on a trace of your own;
 * ``fidelity`` — windowed phi of one sampling pass (drift detection);
-* ``report`` — summarize a finished run directory's observability
-  data (per-phase wall-clock breakdown, slowest shards, retry/fault
-  timeline) from its manifest and ``events.jsonl``; sweeps also take
+* ``report`` — summarize a finished sweep's run directory
+  (per-phase wall-clock breakdown, slowest shards, retry/fault
+  timeline) from its manifest and ``events.jsonl``, or print any run
+  directory's ``metrics.prom`` with ``--metrics``; sweeps also take
   ``--profile`` to record the full span tree while they run;
 * ``adapt`` — stream a trace through the closed-loop adaptive
   sampling controller (:mod:`repro.adaptive`): per quality window the
@@ -147,28 +148,28 @@ def _read_trace(
 
 
 def _load_trace(
-    args: argparse.Namespace, obs=None, metrics=None, allow_empty: bool = False
+    args: argparse.Namespace, obs=None, allow_empty: bool = False
 ) -> Trace:
     """The subcommand's trace (``args.trace``); see :func:`_read_trace`.
 
     ``synthetic`` is generated in-process.  A capture is read through
-    the configured trace cache, whose hit/miss counters go to
-    ``metrics`` (by default ``obs``, the run's instrumentation, which
-    also times the read as its ``trace_read`` span).
+    the configured trace cache, whose hits and misses are counted into
+    ``obs``, the run's registry.  The read is not timed here: a sweep
+    times it as its ``trace_read`` span, while ``monitor`` and
+    ``adapt`` keep wall-clock values out of their exposition, which
+    is byte-identical across ``--fastpath`` modes.
     """
     from repro.obs import NULL_OBS
 
-    obs = NULL_OBS if obs is None else obs
-    with obs.span("trace_read"):
-        if args.trace == "synthetic":
-            return nsfnet_hour_trace(duration_s=600)
-        cache_dir = _trace_cache_dir(args)
-        if not cache_dir:
-            return _read_trace(args.trace, read_pcap, allow_empty)
-        from repro.trace.store import TraceStore
+    if args.trace == "synthetic":
+        return nsfnet_hour_trace(duration_s=600)
+    cache_dir = _trace_cache_dir(args)
+    if not cache_dir:
+        return _read_trace(args.trace, read_pcap, allow_empty)
+    from repro.trace.store import TraceStore
 
-        store = TraceStore(cache_dir, obs=obs if metrics is None else metrics)
-        return _read_trace(args.trace, store.load_or_build, allow_empty)
+    store = TraceStore(cache_dir, obs=NULL_OBS if obs is None else obs)
+    return _read_trace(args.trace, store.load_or_build, allow_empty)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -226,15 +227,15 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cli_obs(args: argparse.Namespace):
-    """Instrumentation for a sweep command, or ``None`` when off.
+    """Instrumentation for a sweep command, or ``NULL_OBS`` when off.
 
     Built here (rather than inside the engine) so the trace-read span
     lands in the same event log as the engine's own spans.
     """
-    if not (args.run_dir or args.profile):
-        return None
-    from repro.obs import Instrumentation
+    from repro.obs import NULL_OBS, Instrumentation
 
+    if not (args.run_dir or args.profile):
+        return NULL_OBS
     return Instrumentation(profile=args.profile)
 
 
@@ -254,7 +255,8 @@ def _print_profile(obs) -> None:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     obs = _cli_obs(args)
-    trace = _load_trace(args, obs=obs)
+    with obs.span("trace_read"):
+        trace = _load_trace(args, obs=obs)
     granularities = tuple(2**i for i in range(1, args.max_log2_granularity + 1))
     with _flag_values():
         grid = ExperimentGrid(
@@ -281,7 +283,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
         save_result(result, args.save)
         print("saved %d records to %s" % (len(result), args.save))
-    if args.profile and not args.run_dir and obs is not None:
+    if args.profile and not args.run_dir:
         _print_profile(obs)
     if args.run_dir:
         print(
@@ -367,7 +369,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     from repro.core.evaluation.suite import reproduce_study
 
     obs = _cli_obs(args)
-    trace = _load_trace(args, obs=obs)
+    with obs.span("trace_read"):
+        trace = _load_trace(args, obs=obs)
     with _flag_values():
         report = reproduce_study(
             trace,
@@ -378,7 +381,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             **_engine_kwargs(args, obs),
         )
     print(report.render())
-    if args.profile and not args.run_dir and obs is not None:
+    if args.profile and not args.run_dir:
         _print_profile(obs)
     return 0
 
@@ -446,16 +449,17 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.adaptive.drivers import make_selector
     from repro.core.sampling.timer import mean_interarrival_us
     from repro.fastpath import monitor_trace
-    from repro.obs import Instrumentation, write_run_dir
+    from repro.obs import Instrumentation, render_prometheus, write_run_dir
     from repro.obs.live import (
         AlertEngine,
         AlertRule,
         MetricsServer,
         QualityMonitor,
         TextfileExporter,
-        render_live_metrics,
     )
 
+    # One registry for the run: the monitor's quality metrics, the
+    # alert engine's events and counters, and the trace cache's.
     obs = Instrumentation()
     with _flag_values():
         rules = [AlertRule.from_spec(spec) for spec in args.rule or DEFAULT_MONITOR_RULES]
@@ -463,11 +467,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         monitor = QualityMonitor(
             window_us=int(args.window * 1_000_000),
             min_scored=args.min_scored,
+            store=obs,
         )
-    # The monitor's live store is the cache's counter sink, so
-    # trace_cache_hit/miss/bytes ride the same exposition as the
-    # sampling-quality metrics.
-    trace = _load_trace(args, metrics=monitor.store)
+    trace = _load_trace(args, obs=obs)
     with _flag_values():
         if args.method == "timer-systematic":
             # monitor's --period-us is the whole period (adapt's is per
@@ -482,7 +484,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     server = None
     if args.serve_port is not None:
         server = MetricsServer(
-            lambda: render_live_metrics(monitor.store), port=args.serve_port
+            lambda: render_prometheus(obs.snapshot()), port=args.serve_port
         )
         print("serving OpenMetrics on %s" % server.url)
     obs.event(
@@ -514,7 +516,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         if args.status_every and stats.index % args.status_every == 0:
             print(_window_status_line(stats, len(engine.active)))
         if exporter is not None:
-            exporter.export(monitor.store)
+            exporter.export(obs)
 
     try:
         monitor_trace(
@@ -531,7 +533,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         alerts_active=len(engine.active),
     )
     if args.run_dir:
-        write_run_dir(args.run_dir, obs.events, render_live_metrics(monitor.store))
+        write_run_dir(args.run_dir, obs)
         print("monitor artifacts in %s" % args.run_dir)
     print(
         "done: %d windows, %d alerts raised, %d still active"
@@ -569,8 +571,9 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         run_adaptive,
     )
     from repro.obs import Instrumentation, write_run_dir
-    from repro.obs.live import QualityMonitor, render_live_metrics
+    from repro.obs.live import QualityMonitor
 
+    obs = Instrumentation()
     with _flag_values():
         policy = _adapt_policy(args)
         config = ControllerConfig(
@@ -586,12 +589,10 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         monitor = QualityMonitor(
             window_us=int(args.window * 1_000_000),
             min_scored=args.min_scored,
+            store=obs,
         )
-    # As in monitor: the live store counts the trace cache's hits and
-    # misses into metrics.prom.
-    trace = _load_trace(args, metrics=monitor.store)
+    trace = _load_trace(args, obs=obs)
 
-    obs = Instrumentation()
     obs.event(
         "adapt_start",
         trace=args.trace,
@@ -685,7 +686,7 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         rows = [[getattr(d, field) for field in fields] for d in result.decisions]
         _write_csv(args.csv, fields, rows)
     if args.run_dir:
-        write_run_dir(args.run_dir, obs.events, render_live_metrics(monitor.store))
+        write_run_dir(args.run_dir, obs)
         print("adapt artifacts in %s" % args.run_dir)
     return 0
 

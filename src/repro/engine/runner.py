@@ -95,7 +95,6 @@ from repro.engine.worker import (
     run_shard_task,
 )
 from repro.obs.events import write_run_dir
-from repro.obs.exposition import render_prometheus
 from repro.obs.instrument import NULL_OBS, Instrumentation
 from repro.trace.trace import Trace
 
@@ -285,11 +284,7 @@ class ParallelRunner:
             )
             if self.run_dir is not None:
                 if obs.enabled:
-                    write_run_dir(
-                        self.run_dir,
-                        obs.events,
-                        render_prometheus(obs.snapshot()),
-                    )
+                    write_run_dir(self.run_dir, obs)
                 telemetry.write_manifest(self.run_dir)
 
         self.quarantined = dict(execution.quarantined)

@@ -21,7 +21,9 @@ Two entry points mirror the repo's batch/streaming split:
   made, exactly like the live
   :class:`~repro.obs.live.QualityMonitor`.  It is passive by the same
   contract — it never touches an RNG and never influences a decision,
-  so an accounted run is bit-identical to a bare one.
+  so an accounted run is bit-identical to a bare one.  Its flow-cache
+  counters and gauges go into an :class:`~repro.obs.Instrumentation`
+  registry; given the monitor's, one exposition serves both.
 """
 
 from dataclasses import dataclass
@@ -32,8 +34,7 @@ import numpy as np
 from repro.core.metrics.bins import BinSpec
 from repro.core.sampling.base import Sampler, SamplingResult
 from repro.flows.table import FlowKey, FlowRecord, FlowTable, aggregate_trace
-from repro.obs.instrument import Counter, Gauge
-from repro.obs.live.store import LiveMetricsStore
+from repro.obs.instrument import Counter, Gauge, Instrumentation
 from repro.trace.trace import Trace
 
 #: One side of the accountant's hot path: the table, its record sink,
@@ -244,9 +245,10 @@ class StreamFlowAccountant:
 
     Maintains two flow tables — every offered packet feeds the parent
     table, kept packets additionally feed the sampled table — and
-    mirrors their occupancy/eviction/export counters into a
-    :class:`~repro.obs.live.LiveMetricsStore` so the live exposition
-    path (textfile exporter, ``/metrics``) can serve them.
+    mirrors their occupancy/eviction/export counters into an
+    :class:`~repro.obs.Instrumentation` registry (pass the monitor's,
+    so the live exposition — textfile exporter, ``/metrics`` — serves
+    them beside the quality metrics).
 
     Like the quality monitor, the accountant is passive: it never
     touches an RNG and never influences the keep/skip decision, so an
@@ -260,7 +262,7 @@ class StreamFlowAccountant:
         idle_timeout_us: int = 15_000_000,
         active_timeout_us: int = 1_800_000_000,
         max_flows: int = 65_536,
-        store: Optional[LiveMetricsStore] = None,
+        store: Optional[Instrumentation] = None,
     ) -> None:
         self.parent_table = FlowTable(
             idle_timeout_us=idle_timeout_us,
@@ -272,7 +274,7 @@ class StreamFlowAccountant:
             active_timeout_us=active_timeout_us,
             max_flows=max_flows,
         )
-        self.store = store if store is not None else LiveMetricsStore()
+        self.store = store if store is not None else Instrumentation()
         self._parent_records: List[FlowRecord] = []
         self._sampled_records: List[FlowRecord] = []
         # Hot-path metrics resolved once; the per-packet path must not

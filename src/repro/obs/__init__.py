@@ -1,10 +1,14 @@
-"""``repro.obs`` — the execution engine's observability layer.
+"""``repro.obs`` — observability for the engine and the online path.
 
-Spans, counters, gauges, a structured JSONL event log, Prometheus-style
-text exposition, and the human-readable run report behind
-``repro-traffic report``.  Zero dependencies, deterministic-safe (no
-wall-clock values in event payloads, no RNG interaction), and near-free
-when disabled (:data:`NULL_OBS`).
+One metrics registry (:class:`Instrumentation`: spans, counters,
+gauges, fixed-edge histograms and a window ring, with an exact
+``merge``), a structured JSONL event log, one Prometheus-style text
+renderer for every ``metrics.prom``, ``--metrics-out`` file and
+``/metrics`` port, and the human-readable run report behind
+``repro-traffic report``.  Deterministic-safe (no wall-clock values in
+event payloads, no RNG interaction), and near-free when disabled
+(:data:`NULL_OBS`).  The live monitor that feeds the registry's
+histograms and windows is :mod:`repro.obs.live`.
 
 Typical engine-side use::
 
@@ -13,6 +17,7 @@ Typical engine-side use::
         journal.append(...)
     obs.counter("shards_completed").inc()
     obs.event("retry", shard=key, attempt=2, detail="...")
+    write_run_dir("runs/sweep-1", obs)
 
 and consumption-side::
 
@@ -37,7 +42,9 @@ from repro.obs.instrument import (
     Gauge,
     Instrumentation,
     NullInstrumentation,
+    RingBuffer,
     SCHEMA_VERSION,
+    WINDOW_HISTORY,
 )
 from repro.obs.report import RunReport, format_phase_table, render_metrics
 
@@ -50,9 +57,11 @@ __all__ = [
     "Instrumentation",
     "NULL_OBS",
     "NullInstrumentation",
+    "RingBuffer",
     "RunReport",
     "SCHEMA_VERSION",
     "SpanNode",
+    "WINDOW_HISTORY",
     "format_phase_table",
     "read_events",
     "render_metrics",

@@ -35,7 +35,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.instrument import SCHEMA_VERSION
+from repro.obs.exposition import render_prometheus
+from repro.obs.instrument import SCHEMA_VERSION, Instrumentation
 
 #: File name of the event log inside a run directory.
 EVENTS_FILENAME = "events.jsonl"
@@ -68,13 +69,14 @@ def write_events(path: str, events: List[Dict[str, Any]]) -> str:
     return path
 
 
-def write_run_dir(run_dir: str, events: List[Dict[str, Any]], metrics: str) -> None:
-    """Write a run directory (created if missing): its event log, and
-    ``metrics`` — rendered exposition text — as its metrics file."""
+def write_run_dir(run_dir: str, obs: Instrumentation) -> None:
+    """Write a run directory (created if missing): ``obs``'s event log,
+    and the registry rendered by
+    :func:`~repro.obs.exposition.render_prometheus` as its metrics file."""
     os.makedirs(run_dir, exist_ok=True)
-    write_events(os.path.join(run_dir, EVENTS_FILENAME), events)
+    write_events(os.path.join(run_dir, EVENTS_FILENAME), obs.events)
     with open(os.path.join(run_dir, METRICS_FILENAME), "w") as stream:
-        stream.write(metrics)
+        stream.write(render_prometheus(obs.snapshot()))
 
 
 def read_events(path: str) -> List[Event]:

@@ -1,9 +1,9 @@
-"""Hierarchical spans, counters, and gauges for the execution engine.
+"""One metrics registry: spans, counters, gauges, histograms, windows.
 
 The engine's question during a slow sweep is always the same: *where
-did the time go?*  :class:`Instrumentation` answers it with three
-primitives, all zero-dependency and all safe to leave compiled into
-the hot path:
+did the time go?*  The live monitor's is *how good is the sample right
+now?*  :class:`Instrumentation` answers both with one registry whose
+primitives are all safe to leave compiled into the hot path:
 
 * **spans** — nested, monotonic-clock timed sections
   (``with obs.span("checkpoint_io"): ...``).  Every span aggregates
@@ -11,9 +11,26 @@ the hot path:
   profiling is on, emits paired ``span_start``/``span_end`` events
   into the run's event log;
 * **counters** — monotonically increasing totals (shards completed,
-  packets sampled, faults injected);
+  packets sampled, alerts raised);
 * **gauges** — last-or-high-water values (shared-memory bytes, peak
-  worker RSS).
+  worker RSS, the latest window's φ);
+* **histograms** — fixed-edge cumulative bin counts
+  (:class:`~repro.stats.streams.RunningHistogram`), the live monitor's
+  parent and sampled distributions;
+* **windows** — a :class:`RingBuffer` of the last
+  :data:`WINDOW_HISTORY` closed quality windows.
+
+One snapshot of the registry feeds every consumer: the run manifest's
+``obs`` block and, through
+:func:`~repro.obs.exposition.render_prometheus`, ``metrics.prom``, a
+``--metrics-out`` textfile and the ``/metrics`` port.
+
+Nothing grows with the stream except the event log: counters, gauges,
+timers and histograms are O(1) per name, and the window ring forgets
+its oldest entries.  :meth:`Instrumentation.merge` is exact for the
+cumulative state — two disjoint streams' registries combine into
+precisely the registry one pass over the concatenated stream would
+hold.
 
 Determinism contract
 --------------------
@@ -25,7 +42,7 @@ are unaffected whether instrumentation is on, off, or replayed.
 
 Disabled cost
 -------------
-:data:`NULL_OBS` implements the same surface as no-ops: ``span()``
+:data:`NULL_OBS` implements the engine's surface as no-ops: ``span()``
 returns a shared, reusable null context manager and ``counter()`` /
 ``gauge()`` return a shared metric whose methods do nothing.  A
 disabled call is one attribute lookup and an empty method body — the
@@ -34,10 +51,18 @@ forests.
 """
 
 import time
-from typing import Any, Dict, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, Generic, Iterator, List, Optional, Sequence, TypeVar
+
+from repro.stats.streams import RunningHistogram
 
 #: Event-log schema version (see :mod:`repro.obs.events`).
 SCHEMA_VERSION = 1
+
+#: Capacity of every registry's window ring (:attr:`Instrumentation.windows`).
+WINDOW_HISTORY = 256
+
+T = TypeVar("T")
 
 
 class Counter:
@@ -69,6 +94,42 @@ class Gauge:
         """Keep the maximum of the current and offered value."""
         if value > self.value:
             self.value = value
+
+
+class RingBuffer(Generic[T]):
+    """A fixed-capacity FIFO; appending past capacity drops the oldest.
+
+    ``dropped`` counts evictions so consumers can tell a complete
+    history from a truncated one.
+    """
+
+    __slots__ = ("capacity", "dropped", "_items")
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError("ring capacity must be >= 1, got %d" % capacity)
+        self.capacity = capacity
+        self.dropped = 0
+        self._items: Deque[T] = deque(maxlen=capacity)
+
+    def append(self, item: T) -> None:
+        if len(self._items) == self.capacity:
+            self.dropped += 1
+        self._items.append(item)
+
+    def latest(self) -> Optional[T]:
+        """The most recently appended item, or ``None`` when empty."""
+        return self._items[-1] if self._items else None
+
+    def to_list(self) -> List[T]:
+        """Oldest-to-newest copy of the retained items."""
+        return list(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __iter__(self) -> Iterator[T]:
+        return iter(self._items)
 
 
 class _Timer:
@@ -174,7 +235,7 @@ _NULL_SPAN = _NullSpan()
 
 
 class Instrumentation:
-    """A run's live observability state: spans, counters, gauges, events.
+    """A run's metrics registry and event log.
 
     Parameters
     ----------
@@ -187,7 +248,10 @@ class Instrumentation:
     Events accumulate in memory (ordered by a monotone ``seq``) and
     are written to ``events.jsonl`` at the end of the run by whoever
     owns the run directory — durability of *results* is the checkpoint
-    journal's job, not the event log's.
+    journal's job, not the event log's.  ``windows`` holds the last
+    :data:`WINDOW_HISTORY` closed quality windows as plain JSON-able
+    dicts, for callers that want a recent history without logging
+    every window.
     """
 
     enabled = True
@@ -201,6 +265,8 @@ class Instrumentation:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._timers: Dict[str, _Timer] = {}
+        self._histograms: Dict[str, RunningHistogram] = {}
+        self.windows: RingBuffer[Dict[str, Any]] = RingBuffer(WINDOW_HISTORY)
 
     # ------------------------------------------------------------------
     # primitives
@@ -221,6 +287,26 @@ class Instrumentation:
             gauge = self._gauges[name] = Gauge(name)
         return gauge
 
+    def histogram(self, name: str, edges: Sequence[float]) -> RunningHistogram:
+        """The named cumulative histogram, created on first use.
+
+        Re-registering an existing name with different edges raises —
+        a silent edge change would corrupt the accumulated counts.
+        """
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = RunningHistogram(edges)
+            return histogram
+        if list(histogram.edges) != [float(edge) for edge in edges]:
+            raise ValueError(
+                "histogram %r already registered with different edges" % name
+            )
+        return histogram
+
+    def histograms(self) -> Dict[str, RunningHistogram]:
+        """Name-to-histogram mapping (shared objects, not copies)."""
+        return dict(self._histograms)
+
     def event(self, kind: str, **payload: Any) -> None:
         """Append one structured event (``None`` values are dropped)."""
         self._seq += 1
@@ -231,10 +317,60 @@ class Instrumentation:
         self.events.append(entry)
 
     # ------------------------------------------------------------------
-    # export
+    # merge / export
+
+    def merge(self, other: "Instrumentation") -> "Instrumentation":
+        """Exact combination of two disjoint streams' registries.
+
+        Counters add, gauges keep the maximum, histograms add bin-wise
+        (mismatched edges raise), and span timers add their totals and
+        counts and keep the larger maximum.  The window rings
+        interleave by window start time; the merged ring keeps the
+        newest entries.  Events are not merged: an event log is one
+        run's timeline, not a statistic.
+        """
+        merged = Instrumentation()
+        for name in sorted(set(self._counters) | set(other._counters)):
+            total = 0.0
+            for side in (self, other):
+                counter = side._counters.get(name)
+                if counter is not None:
+                    total += counter.value
+            merged.counter(name).inc(total)
+        for name in sorted(set(self._gauges) | set(other._gauges)):
+            for side in (self, other):
+                gauge = side._gauges.get(name)
+                if gauge is not None:
+                    merged.gauge(name).high(gauge.value)
+        for name in sorted(set(self._timers) | set(other._timers)):
+            timer = merged._timers[name] = _Timer()
+            for side in (self, other):
+                part = side._timers.get(name)
+                if part is not None:
+                    timer.total_s += part.total_s
+                    timer.count += part.count
+                    timer.max_s = max(timer.max_s, part.max_s)
+        for name in sorted(set(self._histograms) | set(other._histograms)):
+            mine = self._histograms.get(name)
+            theirs = other._histograms.get(name)
+            if mine is not None and theirs is not None:
+                combined = mine.merge(theirs)
+            else:
+                source = mine if mine is not None else theirs
+                assert source is not None
+                combined = source.merge(RunningHistogram(source.edges))
+            merged._histograms[name] = combined
+        ordered = sorted(
+            self.windows.to_list() + other.windows.to_list(),
+            key=lambda window: (window.get("start_us", 0), window.get("window", 0)),
+        )
+        for entry in ordered:
+            merged.windows.append(entry)
+        return merged
 
     def snapshot(self) -> Dict[str, Any]:
-        """Counters, gauges, and span timers as a JSON-able mapping."""
+        """Counters, gauges, span timers and histograms as a JSON-able
+        mapping — what the manifest records and the renderer reads."""
         return {
             "counters": {
                 name: counter.value
@@ -251,14 +387,25 @@ class Instrumentation:
                 }
                 for name, timer in sorted(self._timers.items())
             },
+            "histograms": {
+                name: {
+                    "edges": [float(edge) for edge in histogram.edges],
+                    "counts": [int(count) for count in histogram.counts],
+                    "total": histogram.total,
+                }
+                for name, histogram in sorted(self._histograms.items())
+            },
         }
 
 
 class NullInstrumentation:
     """The disabled twin of :class:`Instrumentation`: every call no-ops.
 
-    Kept API-compatible so engine code never branches on whether
-    observability is on; use the shared :data:`NULL_OBS` instance.
+    Covers the engine's surface (spans, counters, gauges, events,
+    snapshots) so engine code never branches on whether observability
+    is on; use the shared :data:`NULL_OBS` instance.  The live
+    monitor's histograms and window ring have no null twin — a
+    disabled monitor is :data:`~repro.obs.live.NULL_MONITOR`.
     """
 
     enabled = False

@@ -3,16 +3,20 @@
 Where :mod:`repro.obs` watches the *batch* sweep engine, this
 subpackage watches packets as they flow: an online sampled-vs-parent
 quality monitor (windowed φ / χ² significance / l₁ cost over the
-paper's characterization bins), a ring-buffer metrics store with exact
-merge semantics, a threshold + hysteresis alert engine emitting
-schema-versioned events through the standard ``events.jsonl`` writer,
-and OpenMetrics exposition (atomic textfile snapshots plus an optional
-``/metrics`` HTTP endpoint).  Surfaced by the ``repro-traffic
-monitor`` CLI subcommand.
+paper's characterization bins), a threshold + hysteresis alert engine
+emitting schema-versioned events through the standard ``events.jsonl``
+writer, and OpenMetrics exposition (atomic textfile snapshots plus an
+optional ``/metrics`` HTTP endpoint).  The monitor and the alert
+engine feed one :class:`~repro.obs.Instrumentation` registry — the
+monitor its counters, gauges, histograms and window ring, the alert
+engine its events and alert counters — and every exposition path
+renders that registry.  Surfaced by the ``repro-traffic monitor`` CLI
+subcommand.
 
 Typical monitor-side use::
 
-    monitor = QualityMonitor(window_us=30_000_000)
+    obs = Instrumentation()
+    monitor = QualityMonitor(window_us=30_000_000, store=obs)
     engine = AlertEngine(
         [AlertRule.from_spec("phi[interarrival]>0.05@3")], obs=obs
     )
@@ -27,32 +31,23 @@ keep/skip stream bit-identical.
 """
 
 from repro.obs.live.alerts import AlertEngine, AlertEvent, AlertRule
-from repro.obs.live.expose import (
-    CONTENT_TYPE,
-    MetricsServer,
-    TextfileExporter,
-    render_live_metrics,
-)
+from repro.obs.live.expose import CONTENT_TYPE, MetricsServer, TextfileExporter
 from repro.obs.live.monitor import (
     NULL_MONITOR,
     NullQualityMonitor,
     QualityMonitor,
     WindowStats,
 )
-from repro.obs.live.store import LiveMetricsStore, RingBuffer
 
 __all__ = [
     "AlertEngine",
     "AlertEvent",
     "AlertRule",
     "CONTENT_TYPE",
-    "LiveMetricsStore",
     "MetricsServer",
     "NULL_MONITOR",
     "NullQualityMonitor",
     "QualityMonitor",
-    "RingBuffer",
     "TextfileExporter",
     "WindowStats",
-    "render_live_metrics",
 ]

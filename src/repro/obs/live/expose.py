@@ -2,7 +2,7 @@
 
 Two delivery paths, both stdlib-only:
 
-* :class:`TextfileExporter` writes the store's current exposition text
+* :class:`TextfileExporter` writes the registry's current exposition text
   to a path atomically (write-to-temp + rename), the contract
   node-exporter's textfile collector expects — a scraper never sees a
   half-written snapshot;
@@ -10,55 +10,21 @@ Two delivery paths, both stdlib-only:
   /metrics`` from a daemon thread (``http.server``), for direct
   Prometheus scraping of a long-running monitor.
 
-The text itself extends the engine's Prometheus renderer
-(:func:`repro.obs.exposition.render_prometheus`) with the live store's
-histogram families: each histogram becomes the conventional
-``<name>_bucket{le="..."}`` cumulative series plus ``_count``.
+Both carry :func:`repro.obs.exposition.render_prometheus` of the
+monitor's registry, the same text a run directory's ``metrics.prom``
+holds.
 """
 
 import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable
 
-from repro.obs.exposition import PREFIX, render_prometheus
-from repro.obs.live.store import LiveMetricsStore
+from repro.obs.exposition import render_prometheus
+from repro.obs.instrument import Instrumentation
 
 #: Content type of the exposition format we emit.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-
-def _fmt_edge(edge: float) -> str:
-    return str(int(edge)) if float(edge).is_integer() else repr(float(edge))
-
-
-def render_live_metrics(store: LiveMetricsStore, prefix: str = PREFIX) -> str:
-    """The store's full exposition text (counters, gauges, histograms)."""
-    snapshot = store.snapshot()
-    text = render_prometheus(
-        {
-            "counters": snapshot["counters"],
-            "gauges": snapshot["gauges"],
-            "timers": {},
-        },
-        prefix,
-    )
-    lines: List[str] = []
-    histograms: Dict[str, Dict[str, Any]] = snapshot["histograms"]
-    for name, data in sorted(histograms.items()):
-        metric = "%s_%s" % (prefix, name)
-        lines.append("# TYPE %s histogram" % metric)
-        cumulative = 0
-        for edge, count in zip(data["edges"], data["counts"]):
-            cumulative += int(count)
-            lines.append(
-                '%s_bucket{le="%s"} %d' % (metric, _fmt_edge(edge), cumulative)
-            )
-        lines.append('%s_bucket{le="+Inf"} %d' % (metric, int(data["total"])))
-        lines.append("%s_count %d" % (metric, int(data["total"])))
-    if not lines:
-        return text
-    return text + "\n".join(lines) + "\n"
 
 
 class TextfileExporter:
@@ -81,9 +47,9 @@ class TextfileExporter:
         self.writes += 1
         return self.path
 
-    def export(self, store: LiveMetricsStore) -> str:
-        """Render and write the store in one step."""
-        return self.write(render_live_metrics(store))
+    def export(self, store: Instrumentation) -> str:
+        """Render and write the registry in one step."""
+        return self.write(render_prometheus(store.snapshot()))
 
 
 class _MetricsHandler(BaseHTTPRequestHandler):

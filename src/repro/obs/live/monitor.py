@@ -40,7 +40,7 @@ from repro.core.metrics.bins import (
 from repro.core.metrics.chisquare import chi_square_significance
 from repro.core.metrics.cost import cost
 from repro.core.metrics.phi import phi_coefficient
-from repro.obs.live.store import LiveMetricsStore
+from repro.obs.instrument import Instrumentation
 from repro.stats.streams import RunningHistogram
 
 
@@ -145,10 +145,9 @@ class QualityMonitor:
         target before its metrics are reported (thinner windows yield
         ``None``).
     store:
-        The :class:`LiveMetricsStore` to feed; a private one is created
-        when omitted.
-    history:
-        Window-ring capacity of a privately created store.
+        The :class:`~repro.obs.Instrumentation` registry to feed (the
+        run's, so alerts and trace-cache counters share its
+        exposition); a private one is created when omitted.
 
     Per offered packet the monitor folds the packet size and the
     predecessor gap into the current window's parent histograms and,
@@ -166,8 +165,7 @@ class QualityMonitor:
         size_bins: BinSpec = PACKET_SIZE_BINS,
         interarrival_bins: BinSpec = INTERARRIVAL_BINS_US,
         min_scored: int = 10,
-        store: Optional[LiveMetricsStore] = None,
-        history: int = 256,
+        store: Optional[Instrumentation] = None,
     ) -> None:
         if window_us <= 0:
             raise ValueError("window length must be positive, got %r" % window_us)
@@ -175,7 +173,7 @@ class QualityMonitor:
             raise ValueError("min_scored must be at least 1, got %d" % min_scored)
         self.window_us = int(window_us)
         self.min_scored = min_scored
-        self.store = store if store is not None else LiveMetricsStore(history)
+        self.store = store if store is not None else Instrumentation()
         self._targets = (
             _WindowTarget(PACKET_SIZE_BINS.name, size_bins),
             _WindowTarget(INTERARRIVAL_BINS_US.name, interarrival_bins),
@@ -292,7 +290,7 @@ class QualityMonitor:
         return stats
 
     def _export(self, stats: WindowStats) -> None:
-        """Fold a closed window into the cumulative store."""
+        """Fold a closed window into the registry."""
         store = self.store
         store.counter("monitor_windows_closed").inc()
         store.counter("monitor_packets_offered").inc(stats.offered)

@@ -97,8 +97,9 @@ class RunReport:
         manifest_path = os.path.join(run_dir, "manifest.json")
         if not os.path.exists(manifest_path):
             raise FileNotFoundError(
-                "%s has no manifest.json — was it written by a run with "
-                "--run-dir?" % run_dir
+                "%s has no manifest.json: only experiment and reproduce "
+                "write one; for a monitor or adapt run dir use "
+                "'repro-traffic report --metrics %s'" % (run_dir, run_dir)
             )
         with open(manifest_path) as stream:
             manifest = json.load(stream)

@@ -18,7 +18,7 @@ from repro.flows.sampled import (
     study_from_result,
 )
 from repro.flows.table import aggregate_trace, iter_flow_keys
-from repro.obs.live.store import LiveMetricsStore
+from repro.obs import Instrumentation
 
 
 class TestFlowSet:
@@ -124,7 +124,7 @@ class TestStreamFlowAccountant:
         )
 
     def test_metrics_exposed(self, tiny_trace):
-        store = LiveMetricsStore()
+        store = Instrumentation()
         accountant = self._run(tiny_trace, granularity=2, store=store)
         snapshot = {
             name: value for name, value in store.snapshot()["counters"].items()

@@ -1,6 +1,16 @@
-"""Spans, counters, gauges, and the disabled null twin."""
+"""The metrics registry: spans, counters, gauges, histograms, the
+window ring, merge, and the disabled null twin."""
 
-from repro.obs import NULL_OBS, Instrumentation, SCHEMA_VERSION
+import pytest
+
+from repro.obs import (
+    NULL_OBS,
+    Instrumentation,
+    RingBuffer,
+    SCHEMA_VERSION,
+    WINDOW_HISTORY,
+    render_prometheus,
+)
 
 
 class TestCounters:
@@ -92,6 +102,100 @@ class TestEvents:
             obs.event("fault_injected", shard="k", attempt=0)
         for event in obs.events:
             assert not {"time", "ts", "timestamp"} & event.keys()
+
+
+class TestRingBuffer:
+    def test_eviction_and_dropped_count(self):
+        ring = RingBuffer(3)
+        assert ring.latest() is None
+        for i in range(5):
+            ring.append(i)
+        assert ring.to_list() == [2, 3, 4]
+        assert list(ring) == [2, 3, 4]
+        assert len(ring) == 3
+        assert ring.dropped == 2
+        assert ring.latest() == 4
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            RingBuffer(0)
+
+
+class TestHistogramsAndMerge:
+    def test_merge_is_exact(self):
+        a, b = Instrumentation(), Instrumentation()
+        a.counter("n").inc(3)
+        b.counter("n").inc(4)
+        b.counter("only_b").inc(1)
+        a.gauge("peak").high(2.0)
+        b.gauge("peak").high(5.0)
+        a.histogram("h", (10.0,)).update_many([1.0, 20.0])
+        b.histogram("h", (10.0,)).update(2.0)
+        a.windows.append({"start_us": 0, "window": 0})
+        b.windows.append({"start_us": 100, "window": 0})
+        with a.span("s"):
+            pass
+        for _ in range(2):
+            with b.span("s"):
+                pass
+
+        merged = a.merge(b)
+        snapshot = merged.snapshot()
+        assert snapshot["counters"] == {"n": 7, "only_b": 1}
+        assert snapshot["gauges"] == {"peak": 5.0}
+        assert snapshot["histograms"]["h"]["counts"] == [2, 1]
+        assert [w["start_us"] for w in merged.windows.to_list()] == [0, 100]
+        timers = [side.snapshot()["timers"]["s"] for side in (a, b)]
+        assert snapshot["timers"]["s"]["count"] == 3
+        assert snapshot["timers"]["s"]["max_s"] == max(t["max_s"] for t in timers)
+
+    def test_merge_mismatched_edges_raises(self):
+        a, b = Instrumentation(), Instrumentation()
+        a.histogram("h", (10.0,))
+        b.histogram("h", (20.0,))
+        with pytest.raises(ValueError, match="different edges"):
+            a.merge(b)
+
+    def test_reregistering_histogram_with_new_edges_raises(self):
+        store = Instrumentation()
+        store.histogram("h", (10.0, 20.0))
+        assert store.histogram("h", (10.0, 20.0)) is store.histograms()["h"]
+        with pytest.raises(ValueError, match="different edges"):
+            store.histogram("h", (10.0, 30.0))
+
+    def test_merge_keeps_newest_windows_up_to_capacity(self):
+        a, b = Instrumentation(), Instrumentation()
+        for t in range(0, 2 * WINDOW_HISTORY, 2):
+            a.windows.append({"start_us": t})
+        for t in range(1, 2 * WINDOW_HISTORY, 2):
+            b.windows.append({"start_us": t})
+        merged = a.merge(b)
+        assert [w["start_us"] for w in merged.windows.to_list()] == list(
+            range(WINDOW_HISTORY, 2 * WINDOW_HISTORY)
+        )
+
+
+class TestExposition:
+    def test_sections_render_in_registry_order(self):
+        obs = Instrumentation()
+        obs.histogram("h", (1.0,)).update(0.5)
+        with obs.span("s"):
+            pass
+        obs.gauge("g").set(1)
+        obs.counter("c").inc()
+        types = [
+            line.split()[2]
+            for line in render_prometheus(obs.snapshot()).splitlines()
+            if line.startswith("# TYPE")
+        ]
+        assert types == [
+            "repro_c_total",
+            "repro_g",
+            "repro_span_seconds_total",
+            "repro_span_count",
+            "repro_span_seconds_max",
+            "repro_h",
+        ]
 
 
 class TestNullInstrumentation:

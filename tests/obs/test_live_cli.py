@@ -75,6 +75,7 @@ def monitor_runs(bursty_pcap, tmp_path_factory):
             ]
         )
         runs[method] = {
+            "run_dir": str(run_dir),
             "code": code,
             "output": output,
             "events": read_events(str(run_dir / "events.jsonl")),
@@ -92,6 +93,7 @@ class TestTimerVsPacketDrivenContrast:
         assert raised[0].get("value") > 0.05
         assert run["code"] == 1  # --fail-on-alert
         assert "ALERT raised" in run["output"]
+        assert "repro_monitor_alerts_raised_total 1" in run["metrics"].splitlines()
 
     def test_packet_driven_design_stays_quiet(self, monitor_runs):
         run = monitor_runs["systematic"]
@@ -99,6 +101,7 @@ class TestTimerVsPacketDrivenContrast:
         assert "alert_raised" not in kinds
         assert run["code"] == 0
         assert "ALERT" not in run["output"]
+        assert "monitor_alerts" not in run["metrics"]
 
     def test_same_fraction_for_both_designs(self, monitor_runs):
         fractions = {}
@@ -146,6 +149,28 @@ class TestMonitorOptions:
         assert code == 0
         assert "monitor_packets_offered_total" in target.read_text()
 
+    def test_metrics_out_carries_alert_counters(self, bursty_pcap, tmp_path):
+        target = tmp_path / "live.prom"
+        code, output = run_cli(
+            [
+                "monitor",
+                bursty_pcap,
+                "--method",
+                "timer-systematic",
+                "--granularity",
+                "20",
+                "--window",
+                "5",
+                "--rule",
+                RULE,
+                "--metrics-out",
+                str(target),
+            ]
+        )
+        assert code == 0
+        assert "ALERT raised" in output
+        assert "repro_monitor_alerts_raised_total 1" in target.read_text().splitlines()
+
     def test_default_rules_quiet_on_healthy_sampling(self, bursty_pcap):
         code, output = run_cli(
             ["monitor", bursty_pcap, "--granularity", "20", "--window", "5"]
@@ -182,3 +207,11 @@ class TestOperationalErrors:
     def test_report_on_missing_run_dir_exits_nonzero(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "never-ran")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_report_on_monitor_run_dir_points_to_metrics(self, monitor_runs, capsys):
+        run_dir = monitor_runs["systematic"]["run_dir"]
+        assert main(["report", run_dir]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "report --metrics %s" % run_dir in lines[0]

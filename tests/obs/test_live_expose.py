@@ -6,17 +6,17 @@ import urllib.request
 
 import pytest
 
-from repro.obs.live import (
-    CONTENT_TYPE,
-    LiveMetricsStore,
-    MetricsServer,
-    TextfileExporter,
-    render_live_metrics,
-)
+from repro.core.metrics.bins import INTERARRIVAL_BINS_US
+from repro.obs import Instrumentation, render_prometheus
+from repro.obs.live import CONTENT_TYPE, MetricsServer, TextfileExporter
+
+
+def render(store):
+    return render_prometheus(store.snapshot())
 
 
 def populated_store():
-    store = LiveMetricsStore()
+    store = Instrumentation()
     store.counter("monitor_windows_closed").inc(3)
     store.gauge("monitor_phi_packet_size").set(0.04)
     hist = store.histogram("packet_size_parent", (41.0, 181.0))
@@ -26,25 +26,45 @@ def populated_store():
 
 class TestRendering:
     def test_counter_gauge_and_histogram_families(self):
-        text = render_live_metrics(populated_store())
+        text = render(populated_store())
         lines = text.splitlines()
         assert "repro_monitor_windows_closed_total 3" in lines
         assert "repro_monitor_phi_packet_size 0.04" in lines
-        # Histogram buckets are cumulative with a +Inf catch-all.
-        assert 'repro_packet_size_parent_bucket{le="41"} 1' in lines
-        assert 'repro_packet_size_parent_bucket{le="181"} 3' in lines
+        # Histogram buckets are cumulative with a +Inf catch-all; a
+        # bin holds [lo, edge), so each label is the double below it.
+        assert 'repro_packet_size_parent_bucket{le="40.99999999999999"} 1' in lines
+        assert 'repro_packet_size_parent_bucket{le="180.99999999999997"} 3' in lines
         assert 'repro_packet_size_parent_bucket{le="+Inf"} 4' in lines
         assert "repro_packet_size_parent_count 4" in lines
         assert "# TYPE repro_packet_size_parent histogram" in lines
         assert text.endswith("\n")
 
     def test_empty_store_renders_empty(self):
-        assert render_live_metrics(LiveMetricsStore()) == ""
+        assert render(Instrumentation()) == ""
 
     def test_fractional_edges_keep_precision(self):
-        store = LiveMetricsStore()
+        store = Instrumentation()
         store.histogram("h", (0.5,)).update(0.1)
-        assert 'repro_h_bucket{le="0.5"} 1' in render_live_metrics(store)
+        assert 'repro_h_bucket{le="0.49999999999999994"} 1' in render(store)
+
+    def test_buckets_count_values_at_most_their_le(self):
+        # The paper's trace has a 400 us clock, so interarrival gaps sit
+        # exactly on the bin edges as often as between them.
+        edges = INTERARRIVAL_BINS_US.edges
+        values = [0.0, 400.0, 799.0]
+        for lo, hi in zip(edges, edges[1:] + (edges[-1] * 2,)):
+            values += [float(lo), (lo + hi) / 2.0]
+        store = Instrumentation()
+        store.histogram("gaps", edges).update_many(values)
+        buckets = [
+            line for line in render(store).splitlines()
+            if line.startswith("repro_gaps_bucket")
+        ]
+        assert len(buckets) == len(edges) + 1
+        for line in buckets:
+            label, count = line.split(" ")
+            le = float(label.split('"')[1])
+            assert int(count) == sum(value <= le for value in values), line
 
 
 class TestTextfileExporter:
@@ -56,7 +76,7 @@ class TestTextfileExporter:
         exporter.export(store)
         assert exporter.writes == 2
         content = path.read_text()
-        assert content == render_live_metrics(store)
+        assert content == render(store)
         # No temp file is left behind after the rename.
         assert os.listdir(path.parent) == ["monitor.prom"]
 
@@ -68,7 +88,7 @@ class TestTextfileExporter:
 class TestMetricsServer:
     def test_serves_the_live_render(self):
         store = populated_store()
-        with MetricsServer(lambda: render_live_metrics(store), port=0) as server:
+        with MetricsServer(lambda: render(store), port=0) as server:
             assert server.url == "http://127.0.0.1:%d/metrics" % server.port
             with urllib.request.urlopen(server.url) as response:
                 assert response.status == 200

@@ -12,10 +12,8 @@ from repro.core.sampling.streaming import StreamingSystematic
 from repro.core.sampling.systematic import SystematicSampler
 from repro.obs.live import (
     NULL_MONITOR,
-    LiveMetricsStore,
     NullQualityMonitor,
     QualityMonitor,
-    RingBuffer,
     WindowStats,
 )
 from repro.stats.histogram import bin_counts
@@ -214,67 +212,6 @@ class TestStoreExport:
             max(scored)
         )
         assert monitor.store.windows.to_list()[-1]["window"] == windows[-1].index
-
-
-class TestRingBuffer:
-    def test_eviction_and_dropped_count(self):
-        ring = RingBuffer(3)
-        assert ring.latest() is None
-        for i in range(5):
-            ring.append(i)
-        assert ring.to_list() == [2, 3, 4]
-        assert list(ring) == [2, 3, 4]
-        assert len(ring) == 3
-        assert ring.dropped == 2
-        assert ring.latest() == 4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RingBuffer(0)
-
-
-class TestLiveMetricsStore:
-    def test_merge_is_exact(self):
-        a, b = LiveMetricsStore(), LiveMetricsStore()
-        a.counter("n").inc(3)
-        b.counter("n").inc(4)
-        b.counter("only_b").inc(1)
-        a.gauge("peak").high(2.0)
-        b.gauge("peak").high(5.0)
-        a.histogram("h", (10.0,)).update_many([1.0, 20.0])
-        b.histogram("h", (10.0,)).update(2.0)
-        a.windows.append({"start_us": 0, "window": 0})
-        b.windows.append({"start_us": 100, "window": 0})
-
-        merged = a.merge(b)
-        snapshot = merged.snapshot()
-        assert snapshot["counters"] == {"n": 7, "only_b": 1}
-        assert snapshot["gauges"] == {"peak": 5.0}
-        assert snapshot["histograms"]["h"]["counts"] == [2, 1]
-        assert [w["start_us"] for w in merged.windows.to_list()] == [0, 100]
-
-    def test_merge_mismatched_edges_raises(self):
-        a, b = LiveMetricsStore(), LiveMetricsStore()
-        a.histogram("h", (10.0,))
-        b.histogram("h", (20.0,))
-        with pytest.raises(ValueError, match="different edges"):
-            a.merge(b)
-
-    def test_reregistering_histogram_with_new_edges_raises(self):
-        store = LiveMetricsStore()
-        store.histogram("h", (10.0, 20.0))
-        assert store.histogram("h", (10.0, 20.0)) is store.histograms()["h"]
-        with pytest.raises(ValueError, match="different edges"):
-            store.histogram("h", (10.0, 30.0))
-
-    def test_merge_keeps_newest_windows_up_to_capacity(self):
-        a, b = LiveMetricsStore(history=2), LiveMetricsStore(history=2)
-        for t in (0, 10):
-            a.windows.append({"start_us": t})
-        for t in (5, 15):
-            b.windows.append({"start_us": t})
-        merged = a.merge(b)
-        assert [w["start_us"] for w in merged.windows.to_list()] == [10, 15]
 
 
 class TestWindowStats:
