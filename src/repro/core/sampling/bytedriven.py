@@ -24,7 +24,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.sampling.base import Sampler
+from repro.core.sampling.base import Sampler, unique_hits
 from repro.trace.trace import Trace
 
 
@@ -86,9 +86,7 @@ class ByteSystematicSampler(Sampler):
     def sample_indices(
         self, trace: Trace, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
-        if not len(trace):
-            return np.empty(0, dtype=np.int64)
-        return np.unique(self._selection_points(trace))
+        return unique_hits(self._selection_points(trace))
 
     def sample_with_multiplicity(self, trace: Trace):
         """Selected indices plus selection points landing in each.
@@ -99,11 +97,7 @@ class ByteSystematicSampler(Sampler):
 
         Returns ``(indices, multiplicities)``, aligned arrays.
         """
-        hits = self._selection_points(trace)
-        if hits.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        return np.unique(hits, return_counts=True)
+        return unique_hits(self._selection_points(trace), return_counts=True)
 
     def parameters(self) -> Dict[str, float]:
         return {

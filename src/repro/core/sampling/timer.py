@@ -25,7 +25,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.sampling.base import Sampler, require_rng
+from repro.core.sampling.base import Sampler, require_rng, unique_hits
 from repro.trace.trace import Trace
 
 
@@ -104,7 +104,7 @@ class TimerSampler(Sampler):
                 np.searchsorted(trace.timestamps_us, firings, side="right") - 1
             )
             idx = idx[idx >= 0]
-        return np.unique(idx).astype(np.int64)
+        return unique_hits(idx).astype(np.int64, copy=False)
 
     def parameters(self) -> Dict[str, float]:
         return {"period_us": self.period_us}

@@ -15,10 +15,11 @@ already yields) as O(chunk) numpy kernels:
   decides a whole chunk with its own ``keep_mask``, over the state its
   per-packet ``offer`` carries; :func:`chunk_kernel_for` returns the
   selector itself (``None`` for the reservoir);
-* :mod:`repro.fastpath.flows` — a vectorized flow-accounting kernel
-  (packed-integer 5-tuple grouping, segmented reconstruction of idle
-  and active timeouts) feeding :class:`~repro.flows.table.FlowTable`-
-  compatible updates and the ``flow_cache_*`` live metrics;
+* :mod:`repro.fastpath.flows` — the online face of the vectorized
+  flow-accounting kernel of :mod:`repro.flows.chunked` (packed-integer
+  5-tuple grouping, segmented reconstruction of idle and active
+  timeouts), feeding :class:`~repro.flows.table.FlowTable`-compatible
+  updates and the ``flow_cache_*`` live metrics;
 * :mod:`repro.fastpath.monitor` — bulk
   :class:`~repro.stats.streams.RunningHistogram` updates for
   :class:`~repro.obs.live.QualityMonitor` windows;
@@ -35,8 +36,8 @@ go backwards), it falls back to the per-packet reference for that
 chunk, so identity never rests on an approximation.
 """
 
-from repro.fastpath.flows import (
-    FlowAccountantKernel,
+from repro.fastpath.flows import FlowAccountantKernel
+from repro.flows.chunked import (
     account_chunk,
     encode_flow_keys,
     fast_aggregate_trace,

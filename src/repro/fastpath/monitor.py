@@ -4,13 +4,15 @@
 updates per packet; over a chunk those updates are pure counting, so
 they vectorize exactly: group the chunk's packets by the quality window
 they land in, bulk-update each window's parent/sampled histograms with
-:meth:`~repro.stats.streams.RunningHistogram.update_many` (same
-``searchsorted`` binning as the scalar path, so counts are identical),
-and drive the monitor's own ``_close_window`` at every window
-transition — including the zero-offered windows a long silent gap
-closes — so every :class:`~repro.obs.live.monitor.WindowStats`, every
-store metric, and the window ring are bit-identical to per-packet
-``observe`` calls under any chunking.
+:meth:`~repro.stats.streams.RunningHistogram.update_many` (the batch
+kernel :func:`~repro.stats.histogram.bin_counts`, whose counts equal
+the scalar path's ``searchsorted`` binning for every value, NaN and
+edge values included), and drive the monitor's own ``_close_window``
+at every window transition — including the zero-offered windows a
+long silent gap closes — so every
+:class:`~repro.obs.live.monitor.WindowStats`, every store metric, and
+the window ring are bit-identical to per-packet ``observe`` calls
+under any chunking.
 
 The interarrival attribute keeps its reference reading: a packet's gap
 is its predecessor gap *in the parent stream*, with the predecessor

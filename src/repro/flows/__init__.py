@@ -7,6 +7,8 @@ the repo's synthetic traces:
 * :mod:`repro.flows.table` — a streaming NetFlow-style flow cache
   (5-tuple keys, idle/active timeouts, bounded memory) exporting
   immutable :class:`~repro.flows.table.FlowRecord` objects;
+  :mod:`repro.flows.chunked` feeds it a chunk at a time with numpy
+  kernels, bit-identically to per-packet feeding;
 * :mod:`repro.flows.sampled` — parent and sampled flow populations
   produced by driving the existing samplers through the flow table,
   plus a passive streaming accountant for the online path;
@@ -16,6 +18,7 @@ the repo's synthetic traces:
   disparity metrics.
 """
 
+from repro.flows.chunked import fast_aggregate_trace
 from repro.flows.inversion import (
     EstimateScore,
     FlowSizeEstimate,
@@ -71,6 +74,7 @@ __all__ = [
     "chabchoub_estimate",
     "compare_estimators",
     "em_invert",
+    "fast_aggregate_trace",
     "fit_tail",
     "flow_study",
     "iter_flow_keys",

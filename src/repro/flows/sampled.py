@@ -14,8 +14,15 @@ Two entry points mirror the repo's batch/streaming split:
 * :func:`flow_study` drives any *batch* sampler from
   :mod:`repro.core.sampling` — the sample is drawn first (exactly as
   the evaluation harness draws it, same RNG discipline), then parent
-  and sampled traces are aggregated through separate
-  :class:`~repro.flows.table.FlowTable` instances;
+  and sampled traces are aggregated, each through a fresh
+  :class:`~repro.flows.table.FlowTable`.  Every batch population here
+  (:func:`parent_flows`, :func:`sampled_flows`, :func:`flow_study`,
+  :func:`shard_flow_summary`) is aggregated by the vectorized
+  :func:`~repro.flows.chunked.fast_aggregate_trace`, which exports the
+  same records in the same order as the per-packet
+  :func:`~repro.flows.table.aggregate_trace`.  All but the last take
+  an ``aggregate=`` argument, the seam through which
+  ``flows --fastpath off`` runs that per-packet reference instead;
 * :class:`StreamFlowAccountant` rides beside a *streaming* selector:
   it sees each offered packet with the keep/skip decision already
   made, exactly like the live
@@ -33,7 +40,8 @@ import numpy as np
 
 from repro.core.metrics.bins import BinSpec
 from repro.core.sampling.base import Sampler, SamplingResult
-from repro.flows.table import FlowKey, FlowRecord, FlowTable, aggregate_trace
+from repro.flows.chunked import fast_aggregate_trace
+from repro.flows.table import FlowKey, FlowRecord, FlowTable
 from repro.obs.instrument import Counter, Gauge, Instrumentation
 from repro.trace.trace import Trace
 
@@ -41,10 +49,11 @@ from repro.trace.trace import Trace
 #: and the pre-resolved metrics (occupancy, peak, exported, evicted).
 _Side = Tuple[FlowTable, List[FlowRecord], Gauge, Gauge, Counter, Counter]
 
-#: A trace-to-records aggregation: the seam the vectorized fast path
-#: (:func:`repro.fastpath.flows.fast_aggregate_trace`) plugs into.
-#: Must return the same records in the same order as
-#: :func:`~repro.flows.table.aggregate_trace` on a fresh default table.
+#: A trace-to-records aggregation replacing the default vectorized one:
+#: the reference seam, through which ``flows --fastpath off`` runs the
+#: per-packet :func:`~repro.flows.table.aggregate_trace`.  It brings its
+#: own table, so the ``flows`` CLI also passes one built from its cache
+#: flags.
 Aggregate = Callable[[Trace], List[FlowRecord]]
 
 #: Flow sizes (packets per flow) are compared over geometric bins —
@@ -102,6 +111,18 @@ class FlowSet:
         return bins.counts(self.sizes().astype(np.float64))
 
 
+def _flow_set(
+    trace: Trace, table: Optional[FlowTable], aggregate: Optional[Aggregate]
+) -> FlowSet:
+    """``trace``'s flows, through the vectorized kernel unless an
+    ``aggregate`` (which brings its own table) replaces it."""
+    if aggregate is None:
+        return FlowSet(records=tuple(fast_aggregate_trace(trace, table=table)))
+    if table is not None:
+        raise ValueError("pass either table or aggregate, not both")
+    return FlowSet(records=tuple(aggregate(trace)))
+
+
 def parent_flows(
     trace: Trace,
     table: Optional[FlowTable] = None,
@@ -109,15 +130,12 @@ def parent_flows(
 ) -> FlowSet:
     """The ground-truth flow population of a trace.
 
-    ``aggregate`` swaps the per-packet aggregation for an equivalent
-    one (the chunked fast path); it is mutually exclusive with
-    ``table`` since a custom aggregation brings its own.
+    Aggregated by :func:`~repro.flows.chunked.fast_aggregate_trace`
+    into ``table`` (a fresh default one when omitted).  ``aggregate``
+    replaces that with another aggregation — the per-packet reference
+    — and is mutually exclusive with ``table``.
     """
-    if aggregate is not None:
-        if table is not None:
-            raise ValueError("pass either table or aggregate, not both")
-        return FlowSet(records=tuple(aggregate(trace)))
-    return FlowSet(records=tuple(aggregate_trace(trace, table=table)))
+    return _flow_set(trace, table, aggregate)
 
 
 def sampled_flows(
@@ -130,16 +148,10 @@ def sampled_flows(
 
     Only the packets the sampler kept reach the flow cache; timestamps
     keep their parent values, so flow timeouts behave exactly as they
-    would in a monitor receiving the thinned stream.
+    would in a monitor receiving the thinned stream.  ``table`` and
+    ``aggregate`` work as in :func:`parent_flows`.
     """
-    sampled_trace = result.apply(trace)
-    if aggregate is not None:
-        if table is not None:
-            raise ValueError("pass either table or aggregate, not both")
-        return FlowSet(records=tuple(aggregate(sampled_trace)))
-    return FlowSet(
-        records=tuple(aggregate_trace(sampled_trace, table=table))
-    )
+    return _flow_set(result.apply(trace), table, aggregate)
 
 
 @dataclass(frozen=True)
@@ -184,7 +196,7 @@ def flow_study(
     selected indices are bit-identical to what the evaluation harness
     would draw from the same RNG — flow accounting is strictly
     downstream of selection, and an ``aggregate`` override (the
-    vectorized fast path) cannot perturb the draw.
+    per-packet reference) cannot perturb the draw.
     """
     result = sampler.sample(trace, rng=rng)
     return study_from_result(trace, result, aggregate=aggregate)
@@ -222,9 +234,7 @@ def shard_flow_summary(
     """
     if parent is None:
         parent = parent_flows(window)
-    sampled = FlowSet(
-        records=tuple(aggregate_trace(window.select(indices)))
-    )
+    sampled = _flow_set(window.select(indices), None, None)
     parent_keys = parent.keys()
     detected = (
         len(sampled.keys() & parent_keys) / len(parent_keys)

@@ -21,6 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.stats.histogram import _validated_edges, bin_counts
+
 
 class RunningStats:
     """Welford-style online central moments up to order four.
@@ -271,24 +273,17 @@ class RunningHistogram:
     """
 
     def __init__(self, edges: Sequence[float]) -> None:
-        arr = np.asarray(edges, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("need at least one interior bin edge")
-        if np.any(np.diff(arr) <= 0):
-            raise ValueError("bin edges must be strictly increasing")
-        self.edges = arr
-        self.counts = np.zeros(arr.size + 1, dtype=np.int64)
+        self.edges = _validated_edges(edges)
+        self.counts = np.zeros(self.edges.size + 1, dtype=np.int64)
 
     def update(self, value: float) -> None:
-        """Count one observation."""
+        """Count one observation (the per-packet reference binning)."""
         index = int(np.searchsorted(self.edges, value, side="right"))
         self.counts[index] += 1
 
     def update_many(self, values: Sequence[float]) -> None:
-        """Count a batch (vectorized, unlike the moment accumulators)."""
-        arr = np.asarray(values, dtype=np.float64)
-        indices = np.searchsorted(self.edges, arr, side="right")
-        self.counts += np.bincount(indices, minlength=self.counts.size)
+        """Count a batch through the batch kernel, :func:`bin_counts`."""
+        self.counts += bin_counts(values, self.edges)
 
     def merge(self, other: "RunningHistogram") -> "RunningHistogram":
         """Exact combination of two streams' histograms."""

@@ -1,6 +1,6 @@
 """Flow-accounting parity: vectorized chunks vs the per-packet table.
 
-:func:`repro.fastpath.flows.account_chunk` must leave the flow table —
+:func:`repro.flows.chunked.account_chunk` must leave the flow table —
 entries, LRU order, counters, last timestamp — and the exported record
 stream bit-identical to per-packet :meth:`FlowTable.observe` calls, for
 any chunking.  Idle and active timeouts are reconstructed vectorially;
@@ -17,9 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fastpath import DEFAULT_CHUNK_PACKETS
-from repro.fastpath import flows as fastpath_flows
-from repro.fastpath.flows import (
-    FlowAccountantKernel,
+from repro.fastpath.flows import FlowAccountantKernel
+from repro.flows import chunked
+from repro.flows.chunked import (
     account_chunk,
     encode_flow_keys,
     fast_aggregate_trace,
@@ -208,7 +208,7 @@ class TestActiveTimeouts:
         )
         reference, subject = FlowTable(**timeouts), FlowTable(**timeouts)
         expected = feed_per_packet(reference, trace)
-        with mock.patch.object(fastpath_flows, "_fallback", no_fallback):
+        with mock.patch.object(chunked, "_fallback", no_fallback):
             actual = feed_chunked(subject, trace, chunk_sizes)
         assert actual == expected
         assert_tables_identical(reference, subject)
@@ -335,7 +335,7 @@ class TestAccountantKernel:
         # parent flows as active (and a few dozen sampled ones) without
         # a single chunk replayed per packet.
         kept = np.arange(len(five_minute_trace)) % 50 == 7
-        with mock.patch.object(fastpath_flows, "_fallback", no_fallback):
+        with mock.patch.object(chunked, "_fallback", no_fallback):
             reference, subject = self._run(
                 five_minute_trace,
                 kept,

@@ -155,10 +155,22 @@ class TestCliEquivalence:
         assert outputs["on"] == outputs["off"]
         assert metrics["on"] == metrics["off"]
 
-    @pytest.mark.parametrize("mode", ["aggregate", "sample"])
-    def test_flows_output(self, mode, pcap_path):
-        outputs = {}
+    @pytest.mark.parametrize(
+        "mode, cache",
+        [
+            pytest.param(mode, cache, id=mode + suffix)
+            for suffix, cache in (
+                ("", []),
+                # A tiny cache forces the eviction fallback.
+                ("-evicting", ["--max-flows", "8", "--idle-timeout", "0.5"]),
+            )
+            for mode in ("aggregate", "sample", "invert", "compare")
+        ],
+    )
+    def test_flows_output(self, mode, cache, pcap_path, tmp_path):
+        outputs, tables = {}, {}
         for fastpath in ("on", "off"):
+            csv_path = tmp_path / ("%s.csv" % fastpath)
             code, output = run_cli(
                 [
                     "flows",
@@ -170,11 +182,18 @@ class TestCliEquivalence:
                     "10",
                     "--fastpath",
                     fastpath,
+                    "--csv",
+                    str(csv_path),
                 ]
+                + cache
             )
             assert code == 0
-            outputs[fastpath] = output
+            outputs[fastpath] = output.replace(str(csv_path), "CSV")
+            tables[fastpath] = csv_path.read_bytes()
         assert outputs["on"] == outputs["off"]
+        assert tables["on"] == tables["off"]
+        if mode == "aggregate" and cache:
+            assert "exported (evicted): 0" not in outputs["on"]
 
     def test_fastpath_auto_is_default(self, pcap_path):
         _code, explicit = run_cli(

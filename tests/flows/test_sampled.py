@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.sampling.factory import make_sampler
+from repro.core.sampling.factory import METHOD_NAMES, make_sampler
 from repro.core.sampling.streaming import StreamingSystematic
 from repro.flows.sampled import (
     FLOW_SIZE_BINS,
@@ -17,8 +17,9 @@ from repro.flows.sampled import (
     shard_flow_summary,
     study_from_result,
 )
-from repro.flows.table import aggregate_trace, iter_flow_keys
+from repro.flows.table import FlowTable, aggregate_trace, iter_flow_keys
 from repro.obs import Instrumentation
+from repro.trace.filters import prefix_interval
 
 
 class TestFlowSet:
@@ -99,6 +100,56 @@ class TestSampledFlows:
             "parent_mean_packets",
             "sampled_mean_packets",
         }
+
+
+class TestDefaultAggregation:
+    """The default populations aggregate through the vectorized kernel;
+    their records equal the per-packet ``aggregate_trace``'s."""
+
+    @pytest.fixture(scope="class")
+    def window(self, five_minute_trace):
+        return prefix_interval(five_minute_trace, 150_000_000)
+
+    def test_parent_flows(self, window):
+        expected = tuple(aggregate_trace(window))
+        assert parent_flows(window).records == expected
+        assert parent_flows(window, aggregate=aggregate_trace).records == expected
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_sampled_flows_and_shard_summary(self, window, method):
+        rng = np.random.default_rng(11)
+        sampler = make_sampler(method, granularity=8, trace=window, rng=rng)
+        result = sampler.sample(window, rng=rng)
+        expected = tuple(aggregate_trace(result.apply(window)))
+        assert sampled_flows(window, result).records == expected
+        reference = study_from_result(window, result, aggregate=aggregate_trace)
+        assert shard_flow_summary(window, result.indices) == reference.summary()
+
+    def test_flow_study(self, window):
+        def study(**kwargs):
+            rng = np.random.default_rng(5)
+            sampler = make_sampler("timer-stratified", 16, trace=window, rng=rng)
+            return flow_study(window, sampler, rng=rng, **kwargs)
+
+        assert study() == study(aggregate=aggregate_trace)
+
+    def test_eviction_fallback_with_a_small_table(self, window):
+        # 16 entries against hundreds of concurrent flows: every chunk
+        # evicts, so the kernel replays it through the per-packet table.
+        reference_table, table = FlowTable(max_flows=16), FlowTable(max_flows=16)
+        expected = tuple(aggregate_trace(window, table=reference_table))
+        assert parent_flows(window, table=table).records == expected
+        assert table.stats() == reference_table.stats()
+        assert table.stats()["exported_evicted"] > 0
+        result = make_sampler("systematic", 4).sample(window)
+        assert (
+            sampled_flows(window, result, table=FlowTable(max_flows=16)).records
+            == tuple(aggregate_trace(result.apply(window), table=FlowTable(max_flows=16)))
+        )
+
+    def test_table_and_aggregate_are_exclusive(self, tiny_trace):
+        with pytest.raises(ValueError, match="either table or aggregate"):
+            parent_flows(tiny_trace, table=FlowTable(), aggregate=aggregate_trace)
 
 
 class TestStreamFlowAccountant:

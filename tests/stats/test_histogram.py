@@ -47,6 +47,38 @@ class TestBinCounts:
         with pytest.raises(ValueError, match="increasing"):
             bin_counts([1], edges=(5, 5))
 
+    def test_nan_edge_rejected(self):
+        with pytest.raises(ValueError, match="increasing"):
+            bin_counts([1], edges=(5, float("nan")))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_searchsorted_reference(self, data):
+        """Comparison counting equals the binary-search binning for
+        every value: NaN, both infinities, -0.0 and values on edges."""
+        edges = sorted(
+            data.draw(st.sets(st.floats(-1e6, 1e6), min_size=1, max_size=10))
+        )
+        values = data.draw(
+            st.lists(
+                st.one_of(
+                    st.floats(allow_nan=True),
+                    st.sampled_from(
+                        edges + [float("nan"), float("inf"), -float("inf"), -0.0]
+                    ),
+                ),
+                max_size=200,
+            )
+        )
+        edge_arr = np.asarray(edges)
+        reference = np.bincount(
+            np.searchsorted(edge_arr, np.asarray(values, dtype=np.float64), side="right"),
+            minlength=edge_arr.size + 1,
+        )
+        counts = bin_counts(values, edges)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == reference.tolist()
+
 
 class TestBinProportions:
     def test_proportions_sum_to_one(self):

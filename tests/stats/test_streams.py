@@ -181,6 +181,33 @@ class TestRunningHistogram:
         hist_b.update_many(values)
         assert np.array_equal(hist_a.counts, hist_b.counts)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_update_many_equals_scalar_loop(self, data):
+        """The batch kernel and the per-packet reference count every
+        value alike, NaN, infinities and edge values included."""
+        edges = sorted(
+            data.draw(st.sets(st.floats(-1e6, 1e6), min_size=1, max_size=10))
+        )
+        values = data.draw(
+            st.lists(
+                st.one_of(
+                    st.floats(allow_nan=True),
+                    st.sampled_from(edges + [float("nan"), -0.0]),
+                ),
+                max_size=100,
+            )
+        )
+        split = data.draw(st.integers(0, len(values)))
+        scalar = RunningHistogram(edges)
+        for value in values:
+            scalar.update(value)
+        batch = RunningHistogram(edges)
+        batch.update_many(values[:split])
+        batch.update_many(values[split:])
+        assert batch.counts.dtype == scalar.counts.dtype
+        assert batch.counts.tolist() == scalar.counts.tolist()
+
     def test_merge(self):
         a = RunningHistogram((10.0,))
         a.update_many([1.0, 20.0])
