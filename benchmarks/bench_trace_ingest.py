@@ -4,7 +4,10 @@ Three ways to get the calibrated hour (~1.5 million packets) off disk
 and into columns: the per-packet reference loop, the block-scan
 vectorized decoder (:mod:`repro.trace.store`), and a warm
 :class:`~repro.trace.store.TraceStore` hit that memory-maps the
-already-decoded columns.  All three traces are asserted equal, column
+already-decoded columns.  The reference is reached the way an
+unverifiable capture reaches it: the decoder raises
+:class:`~repro.trace.store.FastpathUnsupported` at offset 0, and
+``iter_pcap`` re-parses the whole stream per record.  All three traces are asserted equal, column
 for column, before any timing is recorded — a fast wrong answer is not
 a result.  The vectorized decode is gated at 10x the reference and the
 warm load at 50x (observed ~13x and ~400x; the gates catch a decoder
@@ -20,8 +23,10 @@ import json
 import os
 import time
 
+import pytest
+
 from repro.trace.pcap import read_pcap, write_pcap
-from repro.trace.store import TraceStore
+from repro.trace.store import FastpathUnsupported, TraceStore
 
 ROUNDS = 3
 REF_ROUNDS = 2  # the reference loop is slow and stable; two is plenty
@@ -38,14 +43,26 @@ def _best_of(rounds, fn):
     return best
 
 
+def _decline(*_args, **_kwargs):
+    raise FastpathUnsupported("forced", 0)
+
+
+def read_per_packet(path):
+    """``read_pcap`` with the decoder demoting the whole stream to the
+    per-record reference loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.trace.pcap.iter_decoded_columns", _decline)
+        return read_pcap(path)
+
+
 def test_trace_ingest(hour_trace, tmp_path, emit):
     path = str(tmp_path / "hour.pcap")
     write_pcap(hour_trace, path)
     store = TraceStore(str(tmp_path / "cache"))
 
     # Identity first, all columns, both decoders and the cache path.
-    reference = read_pcap(path, fastpath="off")
-    vectorized = read_pcap(path, fastpath="on")
+    reference = read_per_packet(path)
+    vectorized = read_pcap(path)
     assert vectorized == reference
     assert store.load(path) is None  # cold cache
     built = store.load_or_build(path)
@@ -54,10 +71,8 @@ def test_trace_ingest(hour_trace, tmp_path, emit):
     assert warm is not None and warm == reference
 
     walls = {
-        "per_packet": _best_of(
-            REF_ROUNDS, lambda: read_pcap(path, fastpath="off")
-        ),
-        "vectorized": _best_of(ROUNDS, lambda: read_pcap(path, fastpath="on")),
+        "per_packet": _best_of(REF_ROUNDS, lambda: read_per_packet(path)),
+        "vectorized": _best_of(ROUNDS, lambda: read_pcap(path)),
         "warm_cache": _best_of(ROUNDS, lambda: store.load(path)),
     }
     decode_speedup = walls["per_packet"] / walls["vectorized"]

@@ -306,8 +306,9 @@ def run_adaptive(
 ) -> AdaptiveRunResult:
     """One closed-loop pass over a trace; the library entry point.
 
-    ``fastpath`` switches between the chunked ``keep_mask`` path and
-    the per-packet ``offer`` reference; the result — decisions,
+    The chunked ``keep_mask`` path runs by default; ``fastpath=False``
+    runs the per-packet ``offer`` reference that tests and the
+    repository benchmark check it against.  The result — decisions,
     windows, keep counts, store metrics — is bit-identical either way.
     For ``timer-systematic`` the unit period defaults to the trace's
     mean interarrival, so granularity k means a period of k mean gaps.

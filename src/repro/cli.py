@@ -38,28 +38,24 @@ The subcommands (one bullet each, kept in lockstep with the parser by
   accuracy under a selected-packets/sec budget), or ``static`` (the
   baseline, for comparison) — emitting a decision trace and the
   windowed quality series; ``--run-dir`` records both as
-  ``events.jsonl`` + ``metrics.prom``, ``--csv`` saves the decision
-  log, and ``--fastpath`` again switches between bit-identical
-  chunked and per-packet execution;
+  ``events.jsonl`` + ``metrics.prom``, and ``--csv`` saves the
+  decision log;
 * ``monitor`` — stream a trace through an online sampler with the
   live quality monitor attached: windowed φ / χ² / cost per
   characterization target, threshold + hysteresis alert rules, a
   periodic console status line, OpenMetrics snapshots
   (``--metrics-out``) or a ``/metrics`` HTTP port (``--serve-port``),
   and an ``events.jsonl`` alert/heartbeat record under ``--run-dir``;
-  ``--fastpath {auto,on,off}`` picks between the chunked vectorized
-  pipeline (:mod:`repro.fastpath`, the default) and the per-packet
-  reference loop — both produce bit-identical decisions, windows, and
-  metrics;
 * ``cache`` — manage the on-disk columnar trace cache
   (:class:`repro.trace.store.TraceStore`): ``build`` decodes a capture
   once into memory-mapped column files, ``info`` prints the entry's
   manifest, ``verify`` rechecks the content digests, ``clear`` drops
   the trace's entry.
 
-The ``flows``, ``monitor``, and ``adapt`` subcommands accept
-``--fastpath``; every other subcommand is unaffected by it.  The
-global ``--trace-cache DIR`` flag (or the ``REPRO_TRACE_CACHE``
+``flows``, ``monitor``, and ``adapt`` run on the chunked vectorized
+pipeline (:mod:`repro.fastpath`), whose output is bit-identical to the
+per-packet reference it is tested against.  The global
+``--trace-cache DIR`` flag (or the ``REPRO_TRACE_CACHE``
 environment variable) points every subcommand that reads a pcap at the
 columnar cache: warm entries load as memory maps with no parsing, cold
 ones are decoded once and cached on the way through.
@@ -157,7 +153,7 @@ def _load_trace(
     ``obs``, the run's registry.  The read is not timed here: a sweep
     times it as its ``trace_read`` span, while ``monitor`` and
     ``adapt`` keep wall-clock values out of their exposition, which
-    is byte-identical across ``--fastpath`` modes.
+    is byte-identical to the per-packet reference's.
     """
     from repro.obs import NULL_OBS
 
@@ -519,9 +515,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             exporter.export(obs)
 
     try:
-        monitor_trace(
-            trace, selector, monitor, handle_window, fastpath=args.fastpath != "off"
-        )
+        monitor_trace(trace, selector, monitor, handle_window)
     finally:
         if server is not None:
             server.close()
@@ -639,7 +633,6 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
             trace,
             controller,
             method=args.method,
-            fastpath=args.fastpath != "off",
             phase=args.phase,
             unit_period_us=args.period_us,
             monitor=monitor,
@@ -756,30 +749,15 @@ def _write_csv(path: str, header: List[str], rows: List[List[object]]) -> None:
     print("saved %d rows to %s" % (len(rows), path))
 
 
-def _flows_aggregate(args: argparse.Namespace):
-    """The ``aggregate(trace, table=...)`` the flow flags select: the
-    chunked fast path unless ``--fastpath off``, which selects the
-    per-packet reference (:func:`aggregate_trace`)."""
-    if args.fastpath == "off":
-        from repro.flows.table import aggregate_trace as aggregate
-    else:
-        from repro.fastpath import fast_aggregate_trace as aggregate
-    return aggregate
-
-
 def _flows_study(args: argparse.Namespace, trace):
     """Draw one sample and build the parent/sampled flow populations,
     each aggregated through a fresh table built from the cache flags."""
     from repro.flows.sampled import flow_study
 
-    aggregate = _flows_aggregate(args)
     rng = np.random.default_rng(args.seed)
     sampler = make_sampler(args.method, args.granularity, trace=trace, rng=rng)
     return flow_study(
-        trace,
-        sampler,
-        rng=rng,
-        aggregate=lambda t: aggregate(t, table=_flow_table_from_args(args)),
+        trace, sampler, rng=rng, new_table=lambda: _flow_table_from_args(args)
     )
 
 
@@ -796,14 +774,13 @@ def _cmd_flows(args: argparse.Namespace) -> int:
         table = _flow_table_from_args(args)
 
     if args.mode == "aggregate":
-        from repro.flows.sampled import FlowSet
+        from repro.flows.sampled import parent_flows
 
-        records = _flows_aggregate(args)(trace, table=table)
-        flows = FlowSet(records=tuple(records))
+        flows = parent_flows(trace, table)
         stats = table.stats()
         print(
             "%d packets -> %d flow records (%d distinct 5-tuples)"
-            % (len(trace), len(records), len(flows.keys()))
+            % (len(trace), len(flows), len(flows.keys()))
         )
         print(
             "  mean %.2f packets/flow, peak cache occupancy %d, "
@@ -821,7 +798,7 @@ def _cmd_flows(args: argparse.Namespace) -> int:
                 "src_net", "dst_net", "src_port", "dst_port", "protocol",
                 "packets", "bytes", "first_us", "last_us", "reason",
             ]
-            rows = [[getattr(r, field) for field in fields] for r in records]
+            rows = [[getattr(r, field) for field in fields] for r in flows.records]
             _write_csv(args.csv, fields, rows)
         return 0
 
@@ -1222,13 +1199,6 @@ def build_parser() -> argparse.ArgumentParser:
         "updated flow is evicted",
     )
     flw.add_argument("--csv", default="", help="save the mode's table as CSV")
-    flw.add_argument(
-        "--fastpath",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="chunked vectorized flow accounting (auto/on) or the "
-        "per-packet reference loop (off); results are bit-identical",
-    )
     flw.set_defaults(func=_cmd_flows)
 
     fid = sub.add_parser(
@@ -1381,13 +1351,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for events.jsonl (decisions, windowed quality "
         "points) and the final metrics.prom",
     )
-    adp.add_argument(
-        "--fastpath",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="chunked vectorized pipeline (auto/on) or the per-packet "
-        "reference loop (off); decisions and metrics are bit-identical",
-    )
     adp.set_defaults(func=_cmd_adapt)
 
     live = sub.add_parser(
@@ -1476,14 +1439,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit with status 1 if any alert was raised (for CI-style "
         "sampling-design checks)",
-    )
-    live.add_argument(
-        "--fastpath",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="chunked vectorized pipeline (auto/on) or the per-packet "
-        "reference loop (off); windows, metrics, and events are "
-        "bit-identical",
     )
     live.set_defaults(func=_cmd_monitor)
 

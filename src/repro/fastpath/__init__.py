@@ -24,16 +24,17 @@ already yields) as O(chunk) numpy kernels:
   :class:`~repro.stats.streams.RunningHistogram` updates for
   :class:`~repro.obs.live.QualityMonitor` windows;
 * :mod:`repro.fastpath.pipeline` — chunk iteration and the end-to-end
-  monitored run the CLI's ``--fastpath`` flag drives.
+  monitored run behind ``repro-traffic monitor``.
 
-The non-negotiable contract, pinned by ``tests/fastpath``: for every
-selector, chunk size, and chunk boundary placement, the fast path's
-keep/skip stream, exported flow records, and live metrics are
-bit-identical to the per-packet reference — same RNG discipline, same
-state at every chunk boundary.  Where the flow kernel cannot
-reconstruct a chunk exactly (an emergency eviction, or timestamps that
-go backwards), it falls back to the per-packet reference for that
-chunk, so identity never rests on an approximation.
+This is the one production path; the per-packet code stays as the
+reference it is tested against.  The non-negotiable contract, pinned
+by ``tests/fastpath``: for every selector, chunk size, and chunk
+boundary placement, the fast path's keep/skip stream, exported flow
+records, and live metrics are bit-identical to the per-packet
+reference — same RNG discipline, same state at every chunk boundary.
+Where the flow kernel cannot reconstruct a chunk exactly (an emergency
+eviction), it falls back to the per-packet reference for that chunk,
+so identity never rests on an approximation.
 """
 
 from repro.fastpath.flows import FlowAccountantKernel

@@ -15,7 +15,7 @@ chunk-aggregated updates land on identical values).
 import numpy as np
 
 from repro.flows.chunked import account_chunk, encode_flow_keys
-from repro.flows.sampled import StreamFlowAccountant, _Side
+from repro.flows.sampled import StreamFlowAccountant
 from repro.trace.trace import Trace
 
 __all__ = ["FlowAccountantKernel"]
@@ -25,10 +25,10 @@ class FlowAccountantKernel:
     """Chunk-feeds a :class:`StreamFlowAccountant` bit-identically.
 
     Wraps (does not replace) an accountant: the same tables, record
-    sinks, and resolved ``flow_cache_*`` metrics are updated, so code
-    holding the accountant — exposition, tests, a later per-packet
-    resumption — observes exactly the state per-packet feeding would
-    have produced.
+    sinks, and resolved ``flow_cache_*`` metrics are updated, through
+    the accountant's own per-update bookkeeping, so code holding the
+    accountant — exposition, tests, a later per-packet resumption —
+    observes exactly the state per-packet feeding would have produced.
     """
 
     def __init__(self, accountant: StreamFlowAccountant) -> None:
@@ -43,36 +43,22 @@ class FlowAccountantKernel:
                 % (kept_mask.shape, len(chunk))
             )
         keys = encode_flow_keys(chunk)
-        self._account_side(
-            self.accountant._sides[0], chunk.timestamps_us, chunk.sizes, keys
+        commit = self.accountant._commit
+        parent, sampled = self.accountant._sides
+        commit(
+            parent,
+            account_chunk(parent[0], chunk.timestamps_us, chunk.sizes, keys),
         )
         if kept_mask.any():
-            self._account_side(
-                self.accountant._sides[1],
-                chunk.timestamps_us[kept_mask],
-                chunk.sizes[kept_mask],
-                keys[kept_mask],
+            commit(
+                sampled,
+                account_chunk(
+                    sampled[0],
+                    chunk.timestamps_us[kept_mask],
+                    chunk.sizes[kept_mask],
+                    keys[kept_mask],
+                ),
             )
-
-    @staticmethod
-    def _account_side(
-        side: _Side,
-        timestamps_us: "np.ndarray",
-        sizes: "np.ndarray",
-        keys: "np.ndarray",
-    ) -> None:
-        table, records, occupancy, peak, exported, evicted = side
-        new_records = account_chunk(table, timestamps_us, sizes, keys)
-        if new_records:
-            records.extend(new_records)
-            exported.inc(len(new_records))
-            evictions = sum(
-                record.reason == "evicted" for record in new_records
-            )
-            if evictions:
-                evicted.inc(evictions)
-        occupancy.set(float(table.occupancy))
-        peak.set(float(table.peak_occupancy))
 
     def flush(self) -> None:
         """Close out both tables at end of stream (reference flush)."""

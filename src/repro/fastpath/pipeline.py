@@ -6,9 +6,9 @@ views, the same shape :func:`~repro.trace.pcap.iter_pcap` yields
 straight off disk), ask the streaming selector for each chunk's keep
 mask, and feed the mask to the live quality monitor — and optionally a
 flow-accounting kernel — chunk by chunk.  :func:`monitor_trace` is the
-whole-trace entry point ``repro-traffic monitor`` calls; with
-``fastpath=False`` (``--fastpath off``) it runs the per-packet loop
-that is the executable reference.
+whole-trace entry point ``repro-traffic monitor`` calls; for a selector
+without a chunk path it runs the per-packet loop that is the
+executable reference.
 """
 
 from typing import (
@@ -122,16 +122,15 @@ def monitor_trace(
     selector: StreamingSampler,
     monitor: QualityMonitor,
     on_window: Callable[[WindowStats], None],
-    fastpath: bool = True,
 ) -> None:
     """Monitor a whole trace through ``selector``, final window included.
 
-    ``fastpath`` switches between :func:`run_monitor` over the trace's
-    chunks and the per-packet reference loop, which also serves
-    selectors without a chunk path; ``on_window`` sees the same
-    windows in the same order either way, the flushed last one too.
+    Runs :func:`run_monitor` over the trace's chunks, or the per-packet
+    reference loop for a selector without a chunk path (the
+    reservoir); ``on_window`` sees the same windows in the same order
+    either way, the flushed last one too.
     """
-    kernel = chunk_kernel_for(selector) if fastpath else None
+    kernel = chunk_kernel_for(selector)
     if kernel is not None:
         run_monitor(iter_trace_chunks(trace), kernel, monitor, on_window=on_window)
     else:

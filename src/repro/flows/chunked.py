@@ -31,16 +31,19 @@ timeouts, LRU emergency eviction — all order-dependent.  Vectorizing it
   reference's LRU order — untouched survivors first, then touched keys
   by final update position.
 
-* **Chunks with other events** — an emergency eviction (the computed
-  occupancy trajectory crosses ``max_flows``) or non-monotonic
-  timestamps.  Both detections are exact, both are made *before* any
-  state is mutated, and both fall back to the per-packet reference for
-  the whole chunk, so identity never depends on reproducing eviction
-  interleavings vectorially.
+* **Chunks with an emergency eviction** — the computed occupancy
+  trajectory crosses ``max_flows``.  The detection is exact, made
+  *before* any state is mutated, and falls back to the per-packet
+  reference for the whole chunk, so identity never depends on
+  reproducing eviction interleavings vectorially.
 
 Either way :func:`account_chunk` returns the chunk's exported records
 (in export order) and leaves ``table`` — entries, LRU order, counters,
 peak occupancy, last timestamp — bit-identical to per-packet feeding.
+A timestamp that goes backwards, within the chunk or against the
+table's last one, raises the reference's :class:`ValueError` before
+any state changes (the per-packet table has applied the packets before
+the bad one when it raises).
 :func:`fast_aggregate_trace` feeds a whole trace through it chunk by
 chunk: it is how :mod:`repro.flows.sampled` builds every flow
 population, and :class:`repro.fastpath.FlowAccountantKernel` drives it
@@ -197,7 +200,9 @@ def account_chunk(
     Parameters mirror one chunk of :func:`encode_flow_keys` output with
     its timestamp and size columns.  Returns the records this chunk
     exported, in export order (empty for a chunk where no timeout
-    fires).
+    fires).  Raises ``ValueError("time went backwards: ...")``, the
+    per-packet table's error for the first decreasing timestamp, and
+    leaves ``table`` untouched.
     """
     n = int(timestamps_us.shape[0])
     if n == 0:
@@ -205,10 +210,17 @@ def account_chunk(
     arrivals = np.asarray(timestamps_us, dtype=np.int64)
     first_ts = int(arrivals[0])
     last_ts = int(arrivals[-1])
-    if table._last_timestamp is not None and first_ts < table._last_timestamp:
-        return _fallback(table, timestamps_us, sizes, keys)
-    if n > 1 and np.any(np.diff(arrivals) < 0):
-        return _fallback(table, timestamps_us, sizes, keys)
+    prev = table._last_timestamp
+    if prev is not None and first_ts < prev:
+        raise ValueError("time went backwards: %d after %d" % (first_ts, prev))
+    if n > 1:
+        steps = np.diff(arrivals)
+        if np.any(steps < 0):
+            where = int(np.argmax(steps < 0))
+            raise ValueError(
+                "time went backwards: %d after %d"
+                % (int(arrivals[where + 1]), int(arrivals[where]))
+            )
 
     idle = table.idle_timeout_us
     active = table.active_timeout_us

@@ -20,9 +20,8 @@ Two entry points mirror the repo's batch/streaming split:
   :func:`shard_flow_summary`) is aggregated by the vectorized
   :func:`~repro.flows.chunked.fast_aggregate_trace`, which exports the
   same records in the same order as the per-packet
-  :func:`~repro.flows.table.aggregate_trace`.  All but the last take
-  an ``aggregate=`` argument, the seam through which
-  ``flows --fastpath off`` runs that per-packet reference instead;
+  :func:`~repro.flows.table.aggregate_trace`, the reference it is
+  tested against;
 * :class:`StreamFlowAccountant` rides beside a *streaming* selector:
   it sees each offered packet with the keep/skip decision already
   made, exactly like the live
@@ -34,7 +33,7 @@ Two entry points mirror the repo's batch/streaming split:
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,13 +47,6 @@ from repro.trace.trace import Trace
 #: One side of the accountant's hot path: the table, its record sink,
 #: and the pre-resolved metrics (occupancy, peak, exported, evicted).
 _Side = Tuple[FlowTable, List[FlowRecord], Gauge, Gauge, Counter, Counter]
-
-#: A trace-to-records aggregation replacing the default vectorized one:
-#: the reference seam, through which ``flows --fastpath off`` runs the
-#: per-packet :func:`~repro.flows.table.aggregate_trace`.  It brings its
-#: own table, so the ``flows`` CLI also passes one built from its cache
-#: flags.
-Aggregate = Callable[[Trace], List[FlowRecord]]
 
 #: Flow sizes (packets per flow) are compared over geometric bins —
 #: flow-size distributions are heavy-tailed, so equal-width bins would
@@ -111,47 +103,33 @@ class FlowSet:
         return bins.counts(self.sizes().astype(np.float64))
 
 
-def _flow_set(
-    trace: Trace, table: Optional[FlowTable], aggregate: Optional[Aggregate]
-) -> FlowSet:
-    """``trace``'s flows, through the vectorized kernel unless an
-    ``aggregate`` (which brings its own table) replaces it."""
-    if aggregate is None:
-        return FlowSet(records=tuple(fast_aggregate_trace(trace, table=table)))
-    if table is not None:
-        raise ValueError("pass either table or aggregate, not both")
-    return FlowSet(records=tuple(aggregate(trace)))
+def _flow_set(trace: Trace, table: Optional[FlowTable] = None) -> FlowSet:
+    """``trace``'s flows, aggregated by the vectorized kernel."""
+    return FlowSet(records=tuple(fast_aggregate_trace(trace, table=table)))
 
 
-def parent_flows(
-    trace: Trace,
-    table: Optional[FlowTable] = None,
-    aggregate: Optional[Aggregate] = None,
-) -> FlowSet:
+def parent_flows(trace: Trace, table: Optional[FlowTable] = None) -> FlowSet:
     """The ground-truth flow population of a trace.
 
     Aggregated by :func:`~repro.flows.chunked.fast_aggregate_trace`
-    into ``table`` (a fresh default one when omitted).  ``aggregate``
-    replaces that with another aggregation — the per-packet reference
-    — and is mutually exclusive with ``table``.
+    into ``table`` (a fresh default one when omitted).
     """
-    return _flow_set(trace, table, aggregate)
+    return _flow_set(trace, table)
 
 
 def sampled_flows(
     trace: Trace,
     result: SamplingResult,
     table: Optional[FlowTable] = None,
-    aggregate: Optional[Aggregate] = None,
 ) -> FlowSet:
     """The flow population a monitor sees through a drawn sample.
 
     Only the packets the sampler kept reach the flow cache; timestamps
     keep their parent values, so flow timeouts behave exactly as they
-    would in a monitor receiving the thinned stream.  ``table`` and
-    ``aggregate`` work as in :func:`parent_flows`.
+    would in a monitor receiving the thinned stream.  ``table`` works
+    as in :func:`parent_flows`.
     """
-    return _flow_set(result.apply(trace), table, aggregate)
+    return _flow_set(result.apply(trace), table)
 
 
 @dataclass(frozen=True)
@@ -187,7 +165,7 @@ def flow_study(
     trace: Trace,
     sampler: Sampler,
     rng: Optional[np.random.Generator] = None,
-    aggregate: Optional[Aggregate] = None,
+    new_table: Callable[[], FlowTable] = FlowTable,
 ) -> FlowStudy:
     """Draw one sample and aggregate both flow populations.
 
@@ -195,19 +173,24 @@ def flow_study(
     :meth:`~repro.core.sampling.base.Sampler.sample` path, so the
     selected indices are bit-identical to what the evaluation harness
     would draw from the same RNG — flow accounting is strictly
-    downstream of selection, and an ``aggregate`` override (the
-    per-packet reference) cannot perturb the draw.
+    downstream of selection.  ``new_table`` works as in
+    :func:`study_from_result`.
     """
     result = sampler.sample(trace, rng=rng)
-    return study_from_result(trace, result, aggregate=aggregate)
+    return study_from_result(trace, result, new_table=new_table)
 
 
 def study_from_result(
     trace: Trace,
     result: SamplingResult,
-    aggregate: Optional[Aggregate] = None,
+    new_table: Callable[[], FlowTable] = FlowTable,
 ) -> FlowStudy:
-    """Aggregate both populations for an already-drawn sample."""
+    """Aggregate both populations for an already-drawn sample.
+
+    Each population gets its own table from ``new_table`` (a default
+    :class:`~repro.flows.table.FlowTable` when omitted), so a caller
+    sets the cache's timeouts and size once for both.
+    """
     granularity = float(result.parameters.get("granularity", 0.0))
     if granularity <= 0.0 and result.fraction > 0.0:
         granularity = 1.0 / result.fraction
@@ -215,8 +198,8 @@ def study_from_result(
         method=result.method,
         granularity=granularity,
         fraction=result.fraction,
-        parent=parent_flows(trace, aggregate=aggregate),
-        sampled=sampled_flows(trace, result, aggregate=aggregate),
+        parent=parent_flows(trace, new_table()),
+        sampled=sampled_flows(trace, result, new_table()),
     )
 
 
@@ -234,7 +217,7 @@ def shard_flow_summary(
     """
     if parent is None:
         parent = parent_flows(window)
-    sampled = _flow_set(window.select(indices), None, None)
+    sampled = _flow_set(window.select(indices))
     parent_keys = parent.keys()
     detected = (
         len(sampled.keys() & parent_keys) / len(parent_keys)
@@ -310,16 +293,19 @@ class StreamFlowAccountant:
         self, timestamp_us: int, size: int, key: FlowKey, kept: bool
     ) -> None:
         """Account one offered packet and its keep/skip decision."""
-        self._account(self._sides[0], timestamp_us, size, key)
+        parent, sampled = self._sides
+        self._commit(parent, parent[0].observe(timestamp_us, size, key))
         if kept:
-            self._account(self._sides[1], timestamp_us, size, key)
+            self._commit(sampled, sampled[0].observe(timestamp_us, size, key))
 
     @staticmethod
-    def _account(
-        side: _Side, timestamp_us: int, size: int, key: FlowKey
-    ) -> None:
+    def _commit(side: _Side, new_records: List[FlowRecord]) -> None:
+        """Keep the records one update of ``side``'s table exported and
+        bring its ``flow_cache_*`` metrics up to date.  Every update
+        ends here: :meth:`observe` after each packet,
+        :class:`~repro.fastpath.FlowAccountantKernel` after each chunk,
+        and :meth:`flush` at end of stream."""
         table, records, occupancy, peak, exported, evicted = side
-        new_records = table.observe(timestamp_us, size, key)
         if new_records:
             records.extend(new_records)
             exported.inc(len(new_records))
@@ -334,12 +320,7 @@ class StreamFlowAccountant:
     def flush(self) -> None:
         """Close out both tables at end of stream."""
         for side in self._sides:
-            table, records, occupancy, peak, exported, _evicted = side
-            flushed = table.flush()
-            records.extend(flushed)
-            exported.inc(len(flushed))
-            occupancy.set(0.0)
-            peak.set(float(table.peak_occupancy))
+            self._commit(side, side[0].flush())
 
     def parent(self) -> FlowSet:
         """Parent flow records exported so far."""
@@ -366,8 +347,3 @@ class NullFlowAccountant:
 
 #: The shared disabled instance.
 NULL_ACCOUNTANT = NullFlowAccountant()
-
-
-def flow_sizes(records: Sequence[FlowRecord]) -> np.ndarray:
-    """Packets per flow for a sequence of records."""
-    return np.asarray([record.packets for record in records], dtype=np.int64)

@@ -11,13 +11,13 @@ numbers are encoded in the upper 16 bits of each IPv4 address
 (``addr = net << 16 | host``), mirroring the class-B flavoured NSFNET
 numbering of the era; the reader inverts the same convention.
 
-Both directions have two code paths, selected by ``fastpath``: the
-vectorized block codec in :mod:`repro.trace.store` (the default) and
-the original per-record struct loop, retained as the executable
-reference.  The vectorized reader verifies every record chain exactly
-and silently demotes any stream region it cannot verify to the
-reference loop, so output — including error behavior — is always
-bit-identical between the two.
+Both directions run the vectorized block codec in
+:mod:`repro.trace.store`.  The original per-record struct loops stay
+as the executable reference and as its fallback: the reader verifies
+every record chain exactly and demotes any stream region it cannot
+verify to the per-record loop, and the writer hands any field outside
+the reference's struct ranges to the per-record writer, so output —
+including error behavior — is always bit-identical to the reference.
 """
 
 import io
@@ -48,18 +48,9 @@ _TRANSPORT_HEADER_LEN = {IPPROTO_TCP: 20, IPPROTO_UDP: 8, IPPROTO_ICMP: 8}
 #: Capture length: enough for IP + the largest transport header we emit.
 DEFAULT_SNAPLEN = 64
 
-_FASTPATH_VALUES = ("auto", "on", "off")
-
 
 class PcapError(ValueError):
     """Raised when a pcap stream is malformed or unsupported."""
-
-
-def _check_fastpath(fastpath: str) -> None:
-    if fastpath not in _FASTPATH_VALUES:
-        raise ValueError(
-            "fastpath must be one of 'auto', 'on', 'off'; got %r" % (fastpath,)
-        )
 
 
 def _ip_checksum(header: bytes) -> int:
@@ -124,9 +115,13 @@ def write_pcap(
     trace: Trace,
     destination: Union[str, BinaryIO],
     snaplen: int = DEFAULT_SNAPLEN,
-    fastpath: str = "auto",
 ) -> None:
     """Write ``trace`` to ``destination`` as a classic pcap file.
+
+    The vectorized encoder writes the bytes; a trace with fields
+    outside the reference writer's struct ranges goes through the
+    per-record reference loop instead, which raises its historical
+    error.
 
     Parameters
     ----------
@@ -138,26 +133,18 @@ def write_pcap(
         Capture length per packet.  Headers always fit within the
         default; payload beyond the snap length is truncated, with the
         true size preserved in the record's original-length field.
-    fastpath:
-        ``"auto"``/``"on"`` serialize through the vectorized encoder
-        (byte-identical output); ``"off"`` forces the per-record
-        reference loop.  Fields outside the reference writer's struct
-        ranges demote to the reference loop so the historical error is
-        raised either way.
     """
-    _check_fastpath(fastpath)
     if snaplen < _IP_HEADER_LEN + max(_TRANSPORT_HEADER_LEN.values()):
         raise ValueError("snaplen %d too small to hold packet headers" % snaplen)
     if isinstance(destination, str):
         with open(destination, "wb") as stream:
-            write_pcap(trace, stream, snaplen=snaplen, fastpath=fastpath)
+            write_pcap(trace, stream, snaplen=snaplen)
         return
 
-    if fastpath != "off":
-        encoded = encode_trace(trace, snaplen)
-        if encoded is not None:
-            destination.write(encoded)
-            return
+    encoded = encode_trace(trace, snaplen)
+    if encoded is not None:
+        destination.write(encoded)
+        return
 
     destination.write(
         _GLOBAL_HEADER.pack(PCAP_MAGIC, 2, 4, 0, 0, snaplen, LINKTYPE_RAW)
@@ -387,7 +374,6 @@ def iter_pcap(
     source: Union[str, BinaryIO],
     chunk_packets: int = DEFAULT_CHUNK_PACKETS,
     obs: Any = None,
-    fastpath: str = "auto",
 ) -> Iterator[Trace]:
     """Stream a classic pcap file as :class:`Trace` chunks.
 
@@ -400,12 +386,11 @@ def iter_pcap(
     ``pcap_chunks`` / ``pcap_packets`` ingest counters so a live
     monitor can report collector read progress.
 
-    ``fastpath`` selects the decoder: ``"auto"``/``"on"`` run the
-    vectorized block codec (the raw byte stream is materialized whole;
-    column chunks stay bounded), transparently demoting any region it
-    cannot verify to the reference loop so output and errors are
-    bit-identical; ``"off"`` forces the original per-record loop, which
-    also keeps byte-stream memory bounded for captures bigger than RAM.
+    Records are decoded by the vectorized block codec, over a
+    read-only memory map of the capture when ``source`` is a real file
+    (a plain read otherwise).  Any region it cannot verify is demoted
+    to the per-record reference loop, so output and errors are
+    bit-identical to the reference's.
 
     Supports both byte orders (by magic), requires RAW-IP link type and
     microsecond timestamps, and tolerates truncated payload capture as
@@ -413,39 +398,32 @@ def iter_pcap(
     """
     if chunk_packets < 1:
         raise ValueError("chunk_packets must be >= 1, got %d" % chunk_packets)
-    _check_fastpath(fastpath)
     if obs is None:
         obs = NULL_OBS
     if isinstance(source, str):
         with open(source, "rb") as stream:
-            yield from iter_pcap(
-                stream, chunk_packets=chunk_packets, obs=obs, fastpath=fastpath
-            )
+            yield from iter_pcap(stream, chunk_packets=chunk_packets, obs=obs)
         return
 
     head = _read_exactly(source, _GLOBAL_HEADER.size)
     record_hdr, swapped = _parse_global_header(head)
     builder = _ChunkBuilder(chunk_packets, obs)
 
-    if fastpath != "off":
-        payload = _map_payload(source)
-        resume: Optional[int] = None
-        try:
-            for columns in iter_decoded_columns(payload, swapped=swapped):
-                for chunk in builder.push(columns):
-                    yield chunk
-        except FastpathUnsupported as demoted:
-            resume = demoted.resume_offset
-        if resume is None:
-            for chunk in builder.finish():
+    payload = _map_payload(source)
+    try:
+        for columns in iter_decoded_columns(payload, swapped=swapped):
+            for chunk in builder.push(columns):
                 yield chunk
-            return
-        # Re-parse the unverified tail with the reference loop; no
-        # records past `resume` were emitted, so this cannot duplicate.
-        tail = payload[resume:]
-        source = io.BytesIO(
-            tail.tobytes() if isinstance(tail, np.ndarray) else tail
-        )
+    except FastpathUnsupported as demoted:
+        resume = demoted.resume_offset
+    else:
+        for chunk in builder.finish():
+            yield chunk
+        return
+    # Re-parse the unverified tail with the reference loop; no records
+    # past `resume` were emitted, so this cannot duplicate.
+    tail = payload[resume:]
+    source = io.BytesIO(tail.tobytes() if isinstance(tail, np.ndarray) else tail)
 
     batch: List[_Record] = []
     for record in _iter_records(source, record_hdr, builder.pushed):
@@ -461,13 +439,10 @@ def iter_pcap(
         yield chunk
 
 
-def read_pcap(source: Union[str, BinaryIO], fastpath: str = "auto") -> Trace:
+def read_pcap(source: Union[str, BinaryIO]) -> Trace:
     """Read a classic pcap file into a single :class:`Trace`.
 
     A convenience over :func:`iter_pcap` for captures that fit in
-    memory; see there for format support, the ``fastpath`` toggle, and
-    error behavior.
+    memory; see there for format support, decoding, and error behavior.
     """
-    return Trace.concat(
-        list(iter_pcap(source, chunk_packets=1 << 62, fastpath=fastpath))
-    )
+    return Trace.concat(list(iter_pcap(source, chunk_packets=1 << 62)))

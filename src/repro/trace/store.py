@@ -533,17 +533,17 @@ class TraceStore:
         )
         return trace
 
-    def load_or_build(self, source: str, fastpath: str = "auto") -> Trace:
+    def load_or_build(self, source: str) -> Trace:
         """Return the cached trace, building the entry on a miss."""
         trace = self.load(source)
         if trace is not None:
             return trace
         self.obs.counter("trace_cache_miss").inc()
-        return self.build(source, fastpath=fastpath)
+        return self.build(source)
 
     # -- write side ----------------------------------------------------
 
-    def build(self, source: str, fastpath: str = "auto") -> Trace:
+    def build(self, source: str) -> Trace:
         """Decode ``source`` and (re)write its cache entry.
 
         Returns the freshly mapped trace (memmap-backed), so a build
@@ -551,7 +551,7 @@ class TraceStore:
         """
         from repro.trace.pcap import read_pcap  # deferred: import cycle
 
-        trace = read_pcap(source, fastpath=fastpath)
+        trace = read_pcap(source)
         stat = os.stat(source)
         entry = self.entry_dir(source)
         os.makedirs(entry, exist_ok=True)

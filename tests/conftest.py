@@ -5,10 +5,16 @@ generator is deterministic for a given seed, so every test sees the
 same population.
 """
 
+import contextlib
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.adaptive import run_adaptive
+from repro.flows import chunked
+from repro.trace.store import FastpathUnsupported
 from repro.trace.trace import Trace
 from repro.workload.generator import nsfnet_hour_trace
 
@@ -52,3 +58,46 @@ def tiny_trace() -> Trace:
         src_ports=[1024, 1024, 1025, 1025, 1024, 1024, 0, 1026, 1024, 1024],
         dst_ports=[23, 23, 20, 20, 23, 23, 0, 53, 23, 23],
     )
+
+
+def _decline_decode(*_args, **_kwargs):
+    raise FastpathUnsupported("forced", 0)
+
+
+#: How each production fast path is forced onto its per-packet
+#: reference, through a seam production already has: the attribute to
+#: replace and its stand-in.
+REFERENCE_SEAMS = {
+    # The decoder cannot verify byte 0, so iter_pcap re-parses the
+    # whole stream with the per-record loop.
+    "decode": ("repro.trace.pcap.iter_decoded_columns", _decline_decode),
+    # The encoder declines, so write_pcap runs the per-record writer.
+    "encode": ("repro.trace.pcap.encode_trace", lambda trace, snaplen: None),
+    # No selector has a chunk path, so monitor_trace offers per packet.
+    "select": ("repro.fastpath.pipeline.chunk_kernel_for", lambda selector: None),
+    # Every chunk replays through the per-packet FlowTable.
+    "flows": ("repro.flows.chunked.account_chunk", chunked._fallback),
+    # The adaptive loop offers per packet (repro.adaptive.run_adaptive
+    # is the name the CLI calls).
+    "adapt": (
+        "repro.adaptive.run_adaptive",
+        functools.partial(run_adaptive, fastpath=False),
+    ),
+}
+
+
+@pytest.fixture(scope="session")
+def per_packet():
+    """``with per_packet(stage, ...):`` runs the block with those
+    stages of :data:`REFERENCE_SEAMS` forced onto the per-packet
+    reference; with no stage it changes nothing.  Session-scoped, so
+    hypothesis tests can use it too."""
+
+    @contextlib.contextmanager
+    def force(*stages):
+        with pytest.MonkeyPatch.context() as patch:
+            for stage in stages:
+                patch.setattr(*REFERENCE_SEAMS[stage])
+            yield
+
+    return force

@@ -5,8 +5,9 @@ entries, LRU order, counters, last timestamp — and the exported record
 stream bit-identical to per-packet :meth:`FlowTable.observe` calls, for
 any chunking.  Idle and active timeouts are reconstructed vectorially;
 :class:`TestActiveTimeouts` forbids the per-packet fallback outright.
-Only an emergency eviction (or time going backwards) may fall back, so
-the eviction cases below exercise fallback correctness.
+Only an emergency eviction may fall back, so the eviction cases below
+exercise fallback correctness.  Time going backwards raises the
+per-packet table's error instead (:class:`TestBackwardsTime`).
 """
 
 from unittest import mock
@@ -129,6 +130,67 @@ class TestEventFreeChunks:
         actual = feed_chunked(subject, tiny_trace, [1] * len(tiny_trace))
         assert actual == expected
         assert_tables_identical(reference, subject)
+
+
+class TestBackwardsTime:
+    """A decreasing timestamp raises the per-packet table's error, with
+    the same two numbers, and leaves the table as the chunk found it
+    (the per-packet table has applied the packets before the bad one
+    when it raises)."""
+
+    @staticmethod
+    def state(table: FlowTable):
+        entries = [
+            (key, entry.packets, entry.bytes, entry.first_us, entry.last_us)
+            for key, entry in table._entries.items()
+        ]
+        return entries, table.stats(), table._last_timestamp
+
+    def check(self, timestamps, start, stop, expected):
+        """Feed packets ``[0, start)``, then ``[start, stop)`` as one
+        chunk, which must fail with ``expected`` like the reference."""
+        trace = flow_trace(300, seed=8)
+        keys = encode_flow_keys(trace)
+        sizes = trace.sizes
+        errors = []
+        for feed in (chunked._fallback, account_chunk):
+            table = FlowTable()
+            account_chunk(table, timestamps[:start], sizes[:start], keys[:start])
+            before = self.state(table)
+            with pytest.raises(ValueError) as excinfo:
+                feed(
+                    table,
+                    timestamps[start:stop],
+                    sizes[start:stop],
+                    keys[start:stop],
+                )
+            errors.append(str(excinfo.value))
+        assert errors == [expected, expected]
+        # The kernel's table, fed last, is as the chunk found it.
+        assert self.state(table) == before
+
+    def test_chunk_starting_before_the_table(self):
+        # The chunk [50, 100) is offered after packet 199.
+        timestamps = flow_trace(300, seed=8).timestamps_us
+        reordered = np.concatenate((timestamps[:200], timestamps[50:100]))
+        self.check(
+            reordered,
+            200,
+            250,
+            "time went backwards: %d after %d"
+            % (timestamps[50], timestamps[199]),
+        )
+
+    def test_decrease_inside_a_chunk(self):
+        timestamps = flow_trace(300, seed=8).timestamps_us.copy()
+        timestamps[130] = timestamps[129] - 1
+        self.check(
+            timestamps,
+            100,
+            200,
+            "time went backwards: %d after %d"
+            % (timestamps[130], timestamps[129]),
+        )
 
 
 #: Property inputs that reach each active-timeout case of the kernel.

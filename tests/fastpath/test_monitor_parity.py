@@ -200,16 +200,18 @@ class TestValidation:
 
 
 class TestMonitorTrace:
-    def test_fastpath_switch_is_invisible(self, minute_trace):
-        # Chunked and per-packet runs deliver the same windows to
+    def test_fastpath_switch_is_invisible(self, minute_trace, per_packet):
+        # The chunked run and the per-packet loop it takes for a
+        # selector without a chunk path deliver the same windows to
         # on_window, the flushed last one included, and the same store.
         subset = minute_trace.slice_packets(0, 6000)
         runs = []
-        for fastpath in (True, False):
+        for stages in ((), ("select",)):
             monitor = QualityMonitor(window_us=2_000_000)
             selector = StreamingStratified(20, rng=np.random.default_rng(5))
             windows = []
-            monitor_trace(subset, selector, monitor, windows.append, fastpath=fastpath)
+            with per_packet(*stages):
+                monitor_trace(subset, selector, monitor, windows.append)
             assert len(windows) == monitor.windows_closed
             runs.append(([w.as_dict() for w in windows], monitor.store.snapshot()))
         assert runs[0] == runs[1]

@@ -1,11 +1,12 @@
-"""The chunked pipeline end to end, and CLI --fastpath equivalence.
+"""The chunked pipeline end to end, and CLI equivalence with the reference.
 
 ``repro-traffic monitor`` and ``flows`` must print byte-identical
-output (and emit identical metrics files) with ``--fastpath on`` and
-``--fastpath off`` — the user-visible face of the bit-identity
-contract.  The pipeline primitives are covered directly too:
-:func:`iter_trace_chunks` reassembly and :func:`run_monitor` against
-the hand-rolled per-packet loop it replaces.
+output (and emit identical metrics files) on their default fast path
+and with it forced onto the per-packet reference — the user-visible
+face of the bit-identity contract.  The pipeline primitives are
+covered directly too: :func:`iter_trace_chunks` reassembly and
+:func:`run_monitor` against the hand-rolled per-packet loop it
+replaces.
 """
 
 import contextlib
@@ -122,38 +123,38 @@ class TestRunMonitor:
 
 
 class TestCliEquivalence:
-    """--fastpath on and off must be byte-identical, end to end."""
+    """The default run and the forced per-packet reference must be
+    byte-identical, end to end."""
 
     @pytest.mark.parametrize(
         "method", ["systematic", "stratified", "timer-systematic"]
     )
-    def test_monitor_output(self, method, pcap_path, tmp_path):
+    def test_monitor_output(self, method, pcap_path, tmp_path, per_packet):
         outputs, metrics = {}, {}
-        for fastpath in ("on", "off"):
-            metrics_path = tmp_path / ("m-%s-%s.prom" % (method, fastpath))
-            code, output = run_cli(
-                [
-                    "monitor",
-                    pcap_path,
-                    "--method",
-                    method,
-                    "--granularity",
-                    "10",
-                    "--window",
-                    "1",
-                    "--status-every",
-                    "1",
-                    "--metrics-out",
-                    str(metrics_path),
-                    "--fastpath",
-                    fastpath,
-                ]
-            )
+        for path, stages in (("fast", ()), ("reference", ("select",))):
+            metrics_path = tmp_path / ("m-%s-%s.prom" % (method, path))
+            with per_packet(*stages):
+                code, output = run_cli(
+                    [
+                        "monitor",
+                        pcap_path,
+                        "--method",
+                        method,
+                        "--granularity",
+                        "10",
+                        "--window",
+                        "1",
+                        "--status-every",
+                        "1",
+                        "--metrics-out",
+                        str(metrics_path),
+                    ]
+                )
             assert code == 0
-            outputs[fastpath] = output
-            metrics[fastpath] = metrics_path.read_text()
-        assert outputs["on"] == outputs["off"]
-        assert metrics["on"] == metrics["off"]
+            outputs[path] = output
+            metrics[path] = metrics_path.read_text()
+        assert outputs["fast"] == outputs["reference"]
+        assert metrics["fast"] == metrics["reference"]
 
     @pytest.mark.parametrize(
         "mode, cache",
@@ -167,37 +168,29 @@ class TestCliEquivalence:
             for mode in ("aggregate", "sample", "invert", "compare")
         ],
     )
-    def test_flows_output(self, mode, cache, pcap_path, tmp_path):
+    def test_flows_output(self, mode, cache, pcap_path, tmp_path, per_packet):
         outputs, tables = {}, {}
-        for fastpath in ("on", "off"):
-            csv_path = tmp_path / ("%s.csv" % fastpath)
-            code, output = run_cli(
-                [
-                    "flows",
-                    pcap_path,
-                    mode,
-                    "--method",
-                    "stratified",
-                    "--granularity",
-                    "10",
-                    "--fastpath",
-                    fastpath,
-                    "--csv",
-                    str(csv_path),
-                ]
-                + cache
-            )
+        for path, stages in (("fast", ()), ("reference", ("flows",))):
+            csv_path = tmp_path / ("%s.csv" % path)
+            with per_packet(*stages):
+                code, output = run_cli(
+                    [
+                        "flows",
+                        pcap_path,
+                        mode,
+                        "--method",
+                        "stratified",
+                        "--granularity",
+                        "10",
+                        "--csv",
+                        str(csv_path),
+                    ]
+                    + cache
+                )
             assert code == 0
-            outputs[fastpath] = output.replace(str(csv_path), "CSV")
-            tables[fastpath] = csv_path.read_bytes()
-        assert outputs["on"] == outputs["off"]
-        assert tables["on"] == tables["off"]
+            outputs[path] = output.replace(str(csv_path), "CSV")
+            tables[path] = csv_path.read_bytes()
+        assert outputs["fast"] == outputs["reference"]
+        assert tables["fast"] == tables["reference"]
         if mode == "aggregate" and cache:
-            assert "exported (evicted): 0" not in outputs["on"]
-
-    def test_fastpath_auto_is_default(self, pcap_path):
-        _code, explicit = run_cli(
-            ["flows", pcap_path, "aggregate", "--fastpath", "auto"]
-        )
-        _code, default = run_cli(["flows", pcap_path, "aggregate"])
-        assert default == explicit
+            assert "exported (evicted): 0" not in outputs["fast"]

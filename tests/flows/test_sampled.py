@@ -113,25 +113,27 @@ class TestDefaultAggregation:
     def test_parent_flows(self, window):
         expected = tuple(aggregate_trace(window))
         assert parent_flows(window).records == expected
-        assert parent_flows(window, aggregate=aggregate_trace).records == expected
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
-    def test_sampled_flows_and_shard_summary(self, window, method):
+    def test_sampled_flows_and_shard_summary(self, window, method, per_packet):
         rng = np.random.default_rng(11)
         sampler = make_sampler(method, granularity=8, trace=window, rng=rng)
         result = sampler.sample(window, rng=rng)
         expected = tuple(aggregate_trace(result.apply(window)))
         assert sampled_flows(window, result).records == expected
-        reference = study_from_result(window, result, aggregate=aggregate_trace)
+        with per_packet("flows"):
+            reference = study_from_result(window, result)
         assert shard_flow_summary(window, result.indices) == reference.summary()
 
-    def test_flow_study(self, window):
-        def study(**kwargs):
+    def test_flow_study(self, window, per_packet):
+        def study():
             rng = np.random.default_rng(5)
             sampler = make_sampler("timer-stratified", 16, trace=window, rng=rng)
-            return flow_study(window, sampler, rng=rng, **kwargs)
+            return flow_study(window, sampler, rng=rng)
 
-        assert study() == study(aggregate=aggregate_trace)
+        with per_packet("flows"):
+            reference = study()
+        assert study() == reference
 
     def test_eviction_fallback_with_a_small_table(self, window):
         # 16 entries against hundreds of concurrent flows: every chunk
@@ -146,10 +148,6 @@ class TestDefaultAggregation:
             sampled_flows(window, result, table=FlowTable(max_flows=16)).records
             == tuple(aggregate_trace(result.apply(window), table=FlowTable(max_flows=16)))
         )
-
-    def test_table_and_aggregate_are_exclusive(self, tiny_trace):
-        with pytest.raises(ValueError, match="either table or aggregate"):
-            parent_flows(tiny_trace, table=FlowTable(), aggregate=aggregate_trace)
 
 
 class TestStreamFlowAccountant:

@@ -119,11 +119,12 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "case", sorted(set(CORRUPTIONS) - {"missing-file", "directory"})
     )
-    def test_both_codecs_agree(self, case, malformed):
+    def test_both_codecs_agree(self, case, malformed, per_packet):
         outcomes = []
-        for fastpath in ("on", "off"):
+        for stages in ((), ("decode",)):
             try:
-                outcomes.append(len(read_pcap(malformed[case], fastpath=fastpath)))
+                with per_packet(*stages):
+                    outcomes.append(len(read_pcap(malformed[case])))
             except PcapError as error:
                 outcomes.append(str(error))
         assert outcomes[0] == outcomes[1]
@@ -653,7 +654,6 @@ class TestAdaptCommand:
         assert args.objective == "accuracy"
         assert args.initial_granularity == 64
         assert args.cooldown == 2
-        assert args.fastpath == "auto"
 
     def test_adapt_objective_choices(self):
         with pytest.raises(SystemExit):
@@ -729,23 +729,25 @@ class TestAdaptCommand:
                 assert expected in metrics
         capsys.readouterr()
 
-    def test_adapt_fastpath_toggle_is_invisible(self, tmp_path, capsys):
+    def test_adapt_fastpath_toggle_is_invisible(
+        self, tmp_path, capsys, per_packet
+    ):
+        # The default chunked run prints what the per-packet reference
+        # loop prints.
         trace_path = str(tmp_path / "t.pcap")
         main(["generate", trace_path, "--duration", "120", "--seed", "5"])
         capsys.readouterr()
         outputs = []
-        for fastpath in ("on", "off"):
-            assert (
-                main(
+        for stages in ((), ("adapt",)):
+            with per_packet(*stages):
+                code = main(
                     [
                         "adapt", trace_path,
                         "--window", "10",
                         "--min-scored", "2",
-                        "--fastpath", fastpath,
                     ]
                 )
-                == 0
-            )
+            assert code == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 

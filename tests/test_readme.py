@@ -5,6 +5,7 @@ extracts every ```python block from README.md and executes it.
 """
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,19 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def python_blocks():
     text = README.read_text()
     return re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL)
+
+
+def cli_lines():
+    """Each ``repro-traffic`` command in the README's bash blocks, as
+    argv words: continuation lines joined, ``#`` comments dropped."""
+    text = README.read_text()
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", text, flags=re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["repro-traffic"]:
+                commands.append(words[1:])
+    return commands
 
 
 class TestReadme:
@@ -58,6 +72,22 @@ class TestReadme:
             if hasattr(action, "choices") and action.choices:
                 known |= set(action.choices)
         assert subcommands <= known, subcommands - known
+
+    def test_documented_cli_lines_parse(self):
+        """Every `repro-traffic ...` line in a bash block parses, flags
+        and all."""
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        commands = cli_lines()
+        assert len(commands) >= 10
+        rejected = []
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                rejected.append(" ".join(argv))
+        assert not rejected, rejected
 
     def test_linked_documents_exist(self):
         root = README.parent

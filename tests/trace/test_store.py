@@ -35,7 +35,21 @@ from repro.trace.store import (
 )
 from repro.trace.trace import Trace
 
-both_paths = pytest.mark.parametrize("fastpath", ["on", "off"])
+
+@pytest.fixture(params=["on", "off"])
+def codec(request, per_packet):
+    """The codec a ``both_paths`` test runs on: the vectorized one
+    ("on"), or both directions forced onto the per-record reference
+    ("off") through the codec's own fallback seams."""
+    stages = ("decode", "encode") if request.param == "off" else ()
+    with per_packet(*stages):
+        yield
+
+
+both_paths = pytest.mark.usefixtures("codec")
+
+#: The default decoder, then the per-record reference it falls back to.
+DECODERS = ((), ("decode",))
 
 
 def pcap_bytes(trace: Trace, **kwargs) -> bytes:
@@ -61,59 +75,61 @@ class TestCodecIdentity:
     """The block-scan decoder against the per-packet reference."""
 
     @both_paths
-    def test_tiny_trace(self, fastpath, tiny_trace):
+    def test_tiny_trace(self, tiny_trace):
         data = pcap_bytes(tiny_trace)
-        assert read_pcap(io.BytesIO(data), fastpath=fastpath) == tiny_trace
+        assert read_pcap(io.BytesIO(data)) == tiny_trace
 
     @both_paths
-    def test_synthetic_subset(self, fastpath, minute_trace):
+    def test_synthetic_subset(self, minute_trace):
         subset = minute_trace.slice_packets(0, 3000)
         data = pcap_bytes(subset)
-        assert read_pcap(io.BytesIO(data), fastpath=fastpath) == subset
+        assert read_pcap(io.BytesIO(data)) == subset
 
     @both_paths
-    def test_big_endian_magic(self, fastpath, minute_trace):
+    def test_big_endian_magic(self, minute_trace):
         subset = minute_trace.slice_packets(0, 500)
         data = as_big_endian(pcap_bytes(subset))
-        assert read_pcap(io.BytesIO(data), fastpath=fastpath) == subset
+        assert read_pcap(io.BytesIO(data)) == subset
 
     @both_paths
-    def test_truncated_snaplen_capture(self, fastpath, minute_trace):
+    def test_truncated_snaplen_capture(self, minute_trace):
         # snaplen=64 clips most payloads; original sizes must survive.
         subset = minute_trace.slice_packets(0, 500)
         data = pcap_bytes(subset, snaplen=64)
-        assert read_pcap(io.BytesIO(data), fastpath=fastpath) == subset
+        assert read_pcap(io.BytesIO(data)) == subset
 
     @both_paths
-    def test_empty_capture(self, fastpath):
+    def test_empty_capture(self):
         data = pcap_bytes(Trace.empty())
-        assert read_pcap(io.BytesIO(data), fastpath=fastpath) == Trace.empty()
+        assert read_pcap(io.BytesIO(data)) == Trace.empty()
 
     @both_paths
-    def test_file_path_input(self, fastpath, tmp_path, tiny_trace):
+    def test_file_path_input(self, tmp_path, tiny_trace):
         # The fast path memory-maps real files; identity must hold there.
         path = str(tmp_path / "t.pcap")
         write_pcap(tiny_trace, path)
-        assert read_pcap(path, fastpath=fastpath) == tiny_trace
+        assert read_pcap(path) == tiny_trace
 
-    def test_torn_final_record_error_parity(self, tiny_trace):
+    def test_torn_final_record_error_parity(self, tiny_trace, per_packet):
         clipped = pcap_bytes(tiny_trace)[:-5]
         errors = []
-        for fastpath in ("on", "off"):
-            with pytest.raises(PcapError) as excinfo:
-                read_pcap(io.BytesIO(clipped), fastpath=fastpath)
+        for stages in DECODERS:
+            with per_packet(*stages), pytest.raises(PcapError) as excinfo:
+                read_pcap(io.BytesIO(clipped))
             errors.append(str(excinfo.value))
         assert errors[0] == errors[1]
         assert "truncated" in errors[0]
 
-    def test_torn_final_record_error_parity_on_path(self, tmp_path, tiny_trace):
+    def test_torn_final_record_error_parity_on_path(
+        self, tmp_path, tiny_trace, per_packet
+    ):
         path = str(tmp_path / "torn.pcap")
         with open(path, "wb") as stream:
             stream.write(pcap_bytes(tiny_trace)[:-5])
         errors = []
-        for fastpath in ("on", "off"):
-            with pytest.raises(PcapError) as excinfo:
-                read_pcap(path, fastpath=fastpath)
+        for stages in DECODERS:
+            with per_packet(*stages), pytest.raises(PcapError) as excinfo:
+                read_pcap(path)
             errors.append(str(excinfo.value))
         assert errors[0] == errors[1]
 
@@ -121,42 +137,44 @@ class TestCodecIdentity:
         clipped = pcap_bytes(tiny_trace)[:-5]
         delivered = []
         with pytest.raises(PcapError):
-            for chunk in iter_pcap(io.BytesIO(clipped), chunk_packets=3,
-                                   fastpath="on"):
+            for chunk in iter_pcap(io.BytesIO(clipped), chunk_packets=3):
                 delivered.append(chunk)
         assert Trace.concat(delivered) == tiny_trace.slice_packets(0, 9)
 
-    def test_non_ipv4_error_parity(self):
+    def test_non_ipv4_error_parity(self, per_packet):
         head = struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 64, LINKTYPE_RAW)
         payload = b"\x60" + b"\x00" * 19  # IPv6 version nibble
         data = head + struct.pack("<IIII", 0, 0, len(payload), 40) + payload
-        for fastpath in ("on", "off"):
-            with pytest.raises(PcapError, match="non-IPv4"):
-                read_pcap(io.BytesIO(data), fastpath=fastpath)
+        for stages in DECODERS:
+            with per_packet(*stages), pytest.raises(PcapError, match="non-IPv4"):
+                read_pcap(io.BytesIO(data))
 
-    def test_below_ip_header_error_parity(self):
+    def test_below_ip_header_error_parity(self, per_packet):
         head = struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 64, LINKTYPE_RAW)
         data = head + struct.pack("<IIII", 0, 0, 8, 40) + b"\x45" + b"\x00" * 7
-        for fastpath in ("on", "off"):
-            with pytest.raises(PcapError, match="below IP header"):
-                read_pcap(io.BytesIO(data), fastpath=fastpath)
+        for stages in DECODERS:
+            with per_packet(*stages), pytest.raises(
+                PcapError, match="below IP header"
+            ):
+                read_pcap(io.BytesIO(data))
 
     @pytest.mark.parametrize(
         "chunk_packets", [4, 10, 1 << 62], ids=["in-chunk", "seam", "whole"]
     )
-    def test_out_of_order_record_error_parity(self, chunk_packets, tiny_trace):
+    def test_out_of_order_record_error_parity(
+        self, chunk_packets, tiny_trace, per_packet
+    ):
         # Record 10 repeats record 0, so time goes backwards there:
         # inside a chunk, at a chunk seam, and in a whole-file read.
         raw = pcap_bytes(tiny_trace)
         first_record = raw[24 : 24 + 16 + struct.unpack_from("<I", raw, 32)[0]]
         errors = []
-        for fastpath in ("on", "off"):
-            with pytest.raises(PcapError) as excinfo:
+        for stages in DECODERS:
+            with per_packet(*stages), pytest.raises(PcapError) as excinfo:
                 list(
                     iter_pcap(
                         io.BytesIO(raw + first_record),
                         chunk_packets=chunk_packets,
-                        fastpath=fastpath,
                     )
                 )
             errors.append(str(excinfo.value))
@@ -166,7 +184,7 @@ class TestCodecIdentity:
 
     @pytest.mark.parametrize("where", ["first", "mid", "seam"])
     def test_microsecond_overflow_error_parity(
-        self, where, tiny_trace, monkeypatch
+        self, where, tiny_trace, monkeypatch, per_packet
     ):
         # A microsecond field >= 10**6 is malformed: both decoders name
         # the record carrying it (not its successor, which would seem to
@@ -186,9 +204,9 @@ class TestCodecIdentity:
             index = {"first": 0, "mid": 5}[where]
         struct.pack_into("<I", raw, offsets[index] + 4, 1_500_000)
         errors = []
-        for fastpath in ("on", "off"):
-            with pytest.raises(PcapError) as excinfo:
-                read_pcap(io.BytesIO(bytes(raw)), fastpath=fastpath)
+        for stages in DECODERS:
+            with per_packet(*stages), pytest.raises(PcapError) as excinfo:
+                read_pcap(io.BytesIO(bytes(raw)))
             errors.append(str(excinfo.value))
         assert errors == [
             "microsecond field out of range at record index %d: 1500000"
@@ -197,18 +215,15 @@ class TestCodecIdentity:
 
     @settings(max_examples=30, deadline=None)
     @given(chunk_packets=st.integers(min_value=1, max_value=60))
-    def test_chunking_invariance(self, chunk_packets, minute_trace):
+    def test_chunking_invariance(self, chunk_packets, minute_trace, per_packet):
         # Decoder parity with the reference at arbitrary chunk sizes:
         # the chunk seams must land in the same places with the same
         # contents no matter which decoder fills them.
         subset = minute_trace.slice_packets(0, 400)
         data = pcap_bytes(subset)
-        fast = list(
-            iter_pcap(io.BytesIO(data), chunk_packets=chunk_packets, fastpath="on")
-        )
-        ref = list(
-            iter_pcap(io.BytesIO(data), chunk_packets=chunk_packets, fastpath="off")
-        )
+        fast = list(iter_pcap(io.BytesIO(data), chunk_packets=chunk_packets))
+        with per_packet("decode"):
+            ref = list(iter_pcap(io.BytesIO(data), chunk_packets=chunk_packets))
         assert len(fast) == len(ref)
         for got, want in zip(fast, ref):
             assert got == want
@@ -266,13 +281,13 @@ class TestFastpathFallback:
         with pytest.raises(FastpathUnsupported, match="density"):
             list(iter_decoded_columns(data[24:], False))
 
-    def test_dense_payload_auto_matches_reference(self):
+    def test_dense_payload_auto_matches_reference(self, per_packet):
         data = self.dense_capture()
-        assert read_pcap(io.BytesIO(data), fastpath="auto") == read_pcap(
-            io.BytesIO(data), fastpath="off"
-        )
+        with per_packet("decode"):
+            reference = read_pcap(io.BytesIO(data))
+        assert read_pcap(io.BytesIO(data)) == reference
 
-    def test_unusual_ihl_midstream_matches_reference(self, tiny_trace):
+    def test_unusual_ihl_midstream_matches_reference(self, tiny_trace, per_packet):
         # An IHL != 5 record breaks the verified chain mid-stream; the
         # resume handoff must keep the output identical to the
         # reference loop (which also assumes a 20-byte IP header).
@@ -284,9 +299,9 @@ class TestFastpathFallback:
         assert raw[offset + 16] == 0x45
         raw[offset + 16] = 0x46  # version 4, IHL 6
         data = bytes(raw)
-        assert read_pcap(io.BytesIO(data), fastpath="auto") == read_pcap(
-            io.BytesIO(data), fastpath="off"
-        )
+        with per_packet("decode"):
+            reference = read_pcap(io.BytesIO(data))
+        assert read_pcap(io.BytesIO(data)) == reference
 
     def test_resume_offset_is_exact(self):
         data = self.dense_capture(n_packets=3)
@@ -295,40 +310,40 @@ class TestFastpathFallback:
         assert excinfo.value.resume_offset == 0
 
     @both_paths
-    def test_bad_magic_parity(self, fastpath):
+    def test_bad_magic_parity(self):
         with pytest.raises(PcapError, match="magic"):
-            read_pcap(io.BytesIO(b"\x00" * 24), fastpath=fastpath)
+            read_pcap(io.BytesIO(b"\x00" * 24))
 
 
 class TestVectorizedWriter:
     """write_pcap's vectorized encoder against the per-packet loop."""
 
     @both_paths
-    def test_roundtrip(self, fastpath, tiny_trace):
-        data = pcap_bytes(tiny_trace, fastpath=fastpath)
+    def test_roundtrip(self, tiny_trace):
+        data = pcap_bytes(tiny_trace)
         assert read_pcap(io.BytesIO(data)) == tiny_trace
 
-    def test_byte_identity_tiny(self, tiny_trace):
-        assert pcap_bytes(tiny_trace, fastpath="on") == pcap_bytes(
-            tiny_trace, fastpath="off"
-        )
+    def test_byte_identity_tiny(self, tiny_trace, per_packet):
+        fast = pcap_bytes(tiny_trace)
+        with per_packet("encode"):
+            assert pcap_bytes(tiny_trace) == fast
 
-    def test_byte_identity_synthetic(self, minute_trace):
+    def test_byte_identity_synthetic(self, minute_trace, per_packet):
         subset = minute_trace.slice_packets(0, 2000)
-        assert pcap_bytes(subset, fastpath="on") == pcap_bytes(
-            subset, fastpath="off"
-        )
+        fast = pcap_bytes(subset)
+        with per_packet("encode"):
+            assert pcap_bytes(subset) == fast
 
-    def test_byte_identity_custom_snaplen(self, minute_trace):
+    def test_byte_identity_custom_snaplen(self, minute_trace, per_packet):
         subset = minute_trace.slice_packets(0, 500)
-        assert pcap_bytes(subset, snaplen=64, fastpath="on") == pcap_bytes(
-            subset, snaplen=64, fastpath="off"
-        )
+        fast = pcap_bytes(subset, snaplen=64)
+        with per_packet("encode"):
+            assert pcap_bytes(subset, snaplen=64) == fast
 
-    def test_byte_identity_empty(self):
-        assert pcap_bytes(Trace.empty(), fastpath="on") == pcap_bytes(
-            Trace.empty(), fastpath="off"
-        )
+    def test_byte_identity_empty(self, per_packet):
+        fast = pcap_bytes(Trace.empty())
+        with per_packet("encode"):
+            assert pcap_bytes(Trace.empty()) == fast
 
 
 class TestTraceStore:
