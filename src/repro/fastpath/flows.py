@@ -6,10 +6,13 @@ whole-trace :func:`fast_aggregate_trace` — lives in
 so the batch flow studies of :mod:`repro.flows.sampled` use it too.
 :class:`FlowAccountantKernel` lifts its contract to
 :class:`~repro.flows.sampled.StreamFlowAccountant`: both flow tables,
-both record streams, and the ``flow_cache_*`` live metrics end each
-chunk exactly as the per-packet ``observe`` loop would leave them
-(gauges are last-write-wins and counters accumulate totals, so the
-chunk-aggregated updates land on identical values).
+both export streams (one :class:`~repro.flows.batch.FlowBatch` per
+chunk and side, holding the flows the per-packet loop's records
+would), and the ``flow_cache_*`` live metrics end each chunk exactly
+as the per-packet ``observe`` loop would leave them (gauges are
+last-write-wins and counters accumulate totals, so the
+chunk-aggregated updates land on identical values).  No
+:class:`~repro.flows.table.FlowRecord` is built on this path.
 """
 
 import numpy as np
@@ -24,7 +27,7 @@ __all__ = ["FlowAccountantKernel"]
 class FlowAccountantKernel:
     """Chunk-feeds a :class:`StreamFlowAccountant` bit-identically.
 
-    Wraps (does not replace) an accountant: the same tables, record
+    Wraps (does not replace) an accountant: the same tables, batch
     sinks, and resolved ``flow_cache_*`` metrics are updated, through
     the accountant's own per-update bookkeeping, so code holding the
     accountant — exposition, tests, a later per-packet resumption —

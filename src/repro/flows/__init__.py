@@ -8,7 +8,9 @@ the repo's synthetic traces:
   (5-tuple keys, idle/active timeouts, bounded memory) exporting
   immutable :class:`~repro.flows.table.FlowRecord` objects;
   :mod:`repro.flows.chunked` feeds it a chunk at a time with numpy
-  kernels, bit-identically to per-packet feeding;
+  kernels, bit-identically to per-packet feeding, and exports each
+  chunk's flows as one columnar :class:`~repro.flows.batch.FlowBatch`
+  (:mod:`repro.flows.batch`), the format every population holds;
 * :mod:`repro.flows.sampled` — parent and sampled flow populations
   produced by driving the existing samplers through the flow table,
   plus a passive streaming accountant for the online path;
@@ -18,6 +20,7 @@ the repo's synthetic traces:
   disparity metrics.
 """
 
+from repro.flows.batch import FlowBatch
 from repro.flows.chunked import fast_aggregate_trace
 from repro.flows.inversion import (
     EstimateScore,
@@ -39,6 +42,7 @@ from repro.flows.sampled import (
     NullFlowAccountant,
     StreamFlowAccountant,
     flow_study,
+    flow_summary,
     parent_flows,
     sampled_flows,
     shard_flow_summary,
@@ -59,6 +63,7 @@ __all__ = [
     "DEFAULT_IDLE_TIMEOUT_US",
     "EstimateScore",
     "FLOW_SIZE_BINS",
+    "FlowBatch",
     "FlowKey",
     "FlowRecord",
     "FlowSet",
@@ -77,6 +82,7 @@ __all__ = [
     "fast_aggregate_trace",
     "fit_tail",
     "flow_study",
+    "flow_summary",
     "iter_flow_keys",
     "naive_estimate",
     "parent_flows",

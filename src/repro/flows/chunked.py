@@ -37,9 +37,12 @@ timeouts, LRU emergency eviction — all order-dependent.  Vectorizing it
   reference for the whole chunk, so identity never depends on
   reproducing eviction interleavings vectorially.
 
-Either way :func:`account_chunk` returns the chunk's exported records
-(in export order) and leaves ``table`` — entries, LRU order, counters,
-peak occupancy, last timestamp — bit-identical to per-packet feeding.
+Either way :func:`account_chunk` returns the chunk's exports as one
+:class:`~repro.flows.batch.FlowBatch` (in export order, built from
+columns; the fallback's records enter through
+:meth:`~repro.flows.batch.FlowBatch.from_records`) and leaves ``table``
+— entries, LRU order, counters, peak occupancy, last timestamp —
+bit-identical to per-packet feeding.
 A timestamp that goes backwards, within the chunk or against the
 table's last one, raises the reference's :class:`ValueError` before
 any state changes (the per-packet table has applied the packets before
@@ -50,10 +53,11 @@ population, and :class:`repro.fastpath.FlowAccountantKernel` drives it
 beside the online selector.
 """
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.flows.batch import EMPTY, REASON_CODES, FlowBatch
 from repro.flows.table import (
     REASON_ACTIVE,
     REASON_IDLE,
@@ -130,7 +134,7 @@ def _fallback(
     timestamps_us: "np.ndarray",
     sizes: "np.ndarray",
     keys: "np.ndarray",
-) -> List[FlowRecord]:
+) -> FlowBatch:
     """Feed the chunk through the per-packet reference path."""
     records: List[FlowRecord] = []
     key_rows = keys.tolist()
@@ -138,7 +142,23 @@ def _fallback(
         timestamps_us.tolist(), sizes.tolist(), key_rows
     ):
         records.extend(table.observe(timestamp, size, tuple(row)))
-    return records
+    return FlowBatch.from_records(records)
+
+
+def _entry_columns(entries: Sequence[_FlowEntry]) -> Dict[str, "np.ndarray"]:
+    """Live entries as they stand, as :class:`FlowBatch` columns (all
+    but ``reasons``)."""
+    columns = {
+        field: np.fromiter(
+            (getattr(entry, field) for entry in entries),
+            dtype=np.int64,
+            count=len(entries),
+        )
+        for field in ("packets", "bytes", "first_us", "last_us")
+    }
+    keys = np.array([entry.key for entry in entries], dtype=np.uint16)
+    columns["keys"] = keys.reshape(-1, 5)
+    return columns
 
 
 def _segments(
@@ -194,19 +214,19 @@ def account_chunk(
     timestamps_us: "np.ndarray",
     sizes: "np.ndarray",
     keys: "np.ndarray",
-) -> List[FlowRecord]:
+) -> FlowBatch:
     """Account one chunk; bit-identical to per-packet ``observe`` calls.
 
     Parameters mirror one chunk of :func:`encode_flow_keys` output with
-    its timestamp and size columns.  Returns the records this chunk
-    exported, in export order (empty for a chunk where no timeout
-    fires).  Raises ``ValueError("time went backwards: ...")``, the
-    per-packet table's error for the first decreasing timestamp, and
-    leaves ``table`` untouched.
+    its timestamp and size columns.  Returns the batch of flows this
+    chunk exported, in export order (empty for a chunk where no
+    timeout fires).  Raises ``ValueError("time went backwards: ...")``,
+    the per-packet table's error for the first decreasing timestamp,
+    and leaves ``table`` untouched.
     """
     n = int(timestamps_us.shape[0])
     if n == 0:
-        return []
+        return EMPTY
     arrivals = np.asarray(timestamps_us, dtype=np.int64)
     first_ts = int(arrivals[0])
     last_ts = int(arrivals[-1])
@@ -230,9 +250,8 @@ def account_chunk(
     # View the chunk grouped by key, each group's packets in arrival
     # order, then segment each run at >= idle gaps.
     first_index, order, group_sorted = _group_keys(keys)
-    group_keys: List[FlowKey] = [
-        tuple(row) for row in np.ascontiguousarray(keys)[first_index].tolist()
-    ]
+    group_rows = np.ascontiguousarray(keys, dtype=np.uint16)[first_index]
+    group_keys: List[FlowKey] = [tuple(row) for row in group_rows.tolist()]
     times_sorted = arrivals[order]
     group_start = np.empty(n, dtype=bool)
     group_start[0] = True
@@ -329,11 +348,8 @@ def account_chunk(
     seg_trig = np.empty(seg_count, dtype=np.int64)
     seg_trig[idle_seg] = np.searchsorted(arrivals, seg_last_us[idle_seg] + idle)
     seg_trig[active_seg] = order[seg_ends[active_seg]]
-    prechunk_last = np.fromiter(
-        (entry.last_us for entry in prechunk_closed + prechunk_active),
-        dtype=np.int64,
-        count=len(prechunk_closed) + len(prechunk_active),
-    )
+    prechunk = _entry_columns(prechunk_closed + prechunk_active)
+    prechunk_last = prechunk["last_us"]
     prechunk_trig = np.concatenate(
         (
             np.searchsorted(arrivals, prechunk_last[: len(prechunk_closed)] + idle),
@@ -370,39 +386,41 @@ def account_chunk(
     # sorted stably on (trigger, last_us).  An active export's last_us
     # lies within the idle timeout of its trigger, so it sorts after
     # every idle export its arrival fires, as the reference emits it.
-    exported = [entry.export(REASON_IDLE) for entry in prechunk_closed]
-    exported.extend(entry.export(REASON_ACTIVE) for entry in prechunk_active)
-    exported.extend(
-        FlowRecord(
-            *group_keys[g],
-            packets,
-            bytes_,
-            first_us,
-            last_us,
-            REASON_ACTIVE if cut else REASON_IDLE,
+    candidates = {
+        name: np.concatenate((prechunk[name], column))
+        for name, column in (
+            ("keys", group_rows[seg_group[closed]]),
+            ("packets", seg_packets[closed]),
+            ("bytes", seg_bytes[closed]),
+            ("first_us", seg_first_us[closed]),
+            ("last_us", seg_last_us[closed]),
         )
-        for g, packets, bytes_, first_us, last_us, cut in zip(
-            seg_group[closed].tolist(),
-            seg_packets[closed].tolist(),
-            seg_bytes[closed].tolist(),
-            seg_first_us[closed].tolist(),
-            seg_last_us[closed].tolist(),
-            active_seg[closed].tolist(),
+    }
+    active_export = np.concatenate(
+        (
+            np.zeros(len(prechunk_closed), dtype=bool),
+            np.ones(len(prechunk_active), dtype=bool),
+            active_seg[closed],
         )
     )
+    candidates["reasons"] = np.where(
+        active_export, REASON_CODES[REASON_ACTIVE], REASON_CODES[REASON_IDLE]
+    ).astype(np.uint8)
     export_order = np.lexsort(
         (
-            np.concatenate((prechunk_last, seg_last_us[closed])),
+            candidates["last_us"],
             np.concatenate((prechunk_trig, seg_trig[closed])),
         )
     )
-    records = [exported[i] for i in export_order.tolist()]
+    batch = FlowBatch(
+        **{name: column[export_order] for name, column in candidates.items()}
+    )
 
     # Commit: counters, then the entries dict rebuilt in LRU order —
     # untouched survivors keep their relative order ahead of touched
     # keys re-inserted by final update position.
     active_count = len(prechunk_active) + int(np.count_nonzero(active_seg))
-    table.exported[REASON_IDLE] += len(records) - active_count
+    table.exported[REASON_IDLE] += len(batch) - active_count
     table.exported[REASON_ACTIVE] += active_count
     table.flows_created += int(create_idx.size)
     if peak_chunk > table.peak_occupancy:
@@ -427,18 +445,19 @@ def account_chunk(
         entry.last_us = last_us
         entries[key] = entry
     table._last_timestamp = last_ts
-    return records
+    return batch
 
 
 def fast_aggregate_trace(
     trace: Trace,
     table: Optional[FlowTable] = None,
     chunk_packets: int = 65_536,
-) -> List[FlowRecord]:
+) -> FlowBatch:
     """Chunked, vectorized :func:`repro.flows.table.aggregate_trace`.
 
-    Same records in the same order, for any ``chunk_packets`` — pinned
-    by ``tests/fastpath/test_flows_parity.py``.
+    The chunks' batches and the final flush, as one batch: the same
+    flows in the same order as the reference's records, for any
+    ``chunk_packets`` — pinned by ``tests/fastpath/test_flows_parity.py``.
     """
     if chunk_packets < 1:
         raise ValueError(
@@ -446,11 +465,11 @@ def fast_aggregate_trace(
         )
     if table is None:
         table = FlowTable()
-    records: List[FlowRecord] = []
+    batches: List[FlowBatch] = []
     keys = encode_flow_keys(trace)
     for start in range(0, len(trace), chunk_packets):
         stop = start + chunk_packets
-        records.extend(
+        batches.append(
             account_chunk(
                 table,
                 trace.timestamps_us[start:stop],
@@ -458,5 +477,5 @@ def fast_aggregate_trace(
                 keys[start:stop],
             )
         )
-    records.extend(table.flush())
-    return records
+    batches.append(FlowBatch.from_records(table.flush()))
+    return FlowBatch.concat(batches)

@@ -18,8 +18,8 @@ Two entry points mirror the repo's batch/streaming split:
   :class:`~repro.flows.table.FlowTable`.  Every batch population here
   (:func:`parent_flows`, :func:`sampled_flows`, :func:`flow_study`,
   :func:`shard_flow_summary`) is aggregated by the vectorized
-  :func:`~repro.flows.chunked.fast_aggregate_trace`, which exports the
-  same records in the same order as the per-packet
+  :func:`~repro.flows.chunked.fast_aggregate_trace`, whose batch holds
+  the same flows in the same order as the records of the per-packet
   :func:`~repro.flows.table.aggregate_trace`, the reference it is
   tested against;
 * :class:`StreamFlowAccountant` rides beside a *streaming* selector:
@@ -30,6 +30,12 @@ Two entry points mirror the repo's batch/streaming split:
   so an accounted run is bit-identical to a bare one.  Its flow-cache
   counters and gauges go into an :class:`~repro.obs.Instrumentation`
   registry; given the monitor's, one exposition serves both.
+
+Every population is a :class:`FlowSet` over one
+:class:`~repro.flows.batch.FlowBatch`: sizes, byte counts and the
+summaries of :func:`flow_summary` read its columns, and
+:class:`~repro.flows.table.FlowRecord` objects are built only when
+:attr:`FlowSet.records` is read.
 """
 
 from dataclasses import dataclass
@@ -39,14 +45,15 @@ import numpy as np
 
 from repro.core.metrics.bins import BinSpec
 from repro.core.sampling.base import Sampler, SamplingResult
-from repro.flows.chunked import fast_aggregate_trace
-from repro.flows.table import FlowKey, FlowRecord, FlowTable
+from repro.flows.batch import FlowBatch
+from repro.flows.chunked import _group_keys, fast_aggregate_trace
+from repro.flows.table import REASON_EVICTED, FlowKey, FlowRecord, FlowTable
 from repro.obs.instrument import Counter, Gauge, Instrumentation
 from repro.trace.trace import Trace
 
-#: One side of the accountant's hot path: the table, its record sink,
+#: One side of the accountant's hot path: the table, its batch sink,
 #: and the pre-resolved metrics (occupancy, peak, exported, evicted).
-_Side = Tuple[FlowTable, List[FlowRecord], Gauge, Gauge, Counter, Counter]
+_Side = Tuple[FlowTable, List[FlowBatch], Gauge, Gauge, Counter, Counter]
 
 #: Flow sizes (packets per flow) are compared over geometric bins —
 #: flow-size distributions are heavy-tailed, so equal-width bins would
@@ -61,42 +68,54 @@ FLOW_SIZE_BINS = BinSpec(
 
 @dataclass(frozen=True)
 class FlowSet:
-    """An exported flow population with the summaries analysis needs."""
+    """An exported flow population with the summaries analysis needs.
 
-    records: Tuple[FlowRecord, ...]
+    Holds one :class:`~repro.flows.batch.FlowBatch`; the summaries are
+    column reads, and :attr:`records` builds the population's
+    :class:`~repro.flows.table.FlowRecord` objects on each read, for
+    the code that prints or compares them.
+    """
+
+    batch: FlowBatch
+
+    def __post_init__(self) -> None:
+        # The summaries hand out the batch's own columns.
+        for column in vars(self.batch).values():
+            column.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.batch)
+
+    @property
+    def records(self) -> Tuple[FlowRecord, ...]:
+        """The population's records, in export order."""
+        return tuple(self.batch.to_records())
 
     def sizes(self) -> np.ndarray:
-        """Packets per flow, one entry per record."""
-        return np.asarray(
-            [record.packets for record in self.records], dtype=np.int64
-        )
+        """Packets per flow, one entry per flow (read-only)."""
+        return self.batch.packets
 
     def byte_sizes(self) -> np.ndarray:
-        """Bytes per flow, one entry per record."""
-        return np.asarray(
-            [record.bytes for record in self.records], dtype=np.int64
-        )
+        """Bytes per flow, one entry per flow (read-only)."""
+        return self.batch.bytes
 
     def keys(self) -> frozenset:
         """Distinct 5-tuples present in the population."""
-        return frozenset(record.key for record in self.records)
+        return frozenset(map(tuple, self.batch.keys.tolist()))
 
     @property
     def total_packets(self) -> int:
-        return int(self.sizes().sum()) if self.records else 0
+        return int(self.batch.packets.sum())
 
     @property
     def total_bytes(self) -> int:
-        return int(self.byte_sizes().sum()) if self.records else 0
+        return int(self.batch.bytes.sum())
 
     def mean_size(self) -> float:
         """Mean packets per flow (0.0 for an empty population)."""
-        if not self.records:
+        if not len(self):
             return 0.0
-        return self.total_packets / len(self.records)
+        return self.total_packets / len(self)
 
     def size_counts(self, bins: BinSpec = FLOW_SIZE_BINS) -> np.ndarray:
         """Flow counts over the flow-size bins."""
@@ -105,7 +124,7 @@ class FlowSet:
 
 def _flow_set(trace: Trace, table: Optional[FlowTable] = None) -> FlowSet:
     """``trace``'s flows, aggregated by the vectorized kernel."""
-    return FlowSet(records=tuple(fast_aggregate_trace(trace, table=table)))
+    return FlowSet(fast_aggregate_trace(trace, table=table))
 
 
 def parent_flows(trace: Trace, table: Optional[FlowTable] = None) -> FlowSet:
@@ -145,20 +164,50 @@ class FlowStudy:
     @property
     def detected_fraction(self) -> float:
         """Share of parent 5-tuples with at least one sampled packet."""
-        parent_keys = self.parent.keys()
-        if not parent_keys:
-            return 0.0
-        return len(self.sampled.keys() & parent_keys) / len(parent_keys)
+        return _detected_fraction(self.parent, self.sampled)
 
     def summary(self) -> Dict[str, float]:
         """The flat numeric summary used by telemetry and the CLI."""
-        return {
-            "parent_flows": float(len(self.parent)),
-            "sampled_flows": float(len(self.sampled)),
-            "detected_fraction": round(self.detected_fraction, 6),
-            "parent_mean_packets": round(self.parent.mean_size(), 6),
-            "sampled_mean_packets": round(self.sampled.mean_size(), 6),
-        }
+        return flow_summary(self.parent, self.sampled)
+
+
+def _detected_fraction(parent: FlowSet, sampled: FlowSet) -> float:
+    """Share of ``parent``'s distinct 5-tuples that ``sampled`` has.
+
+    One grouping pass over both populations' key columns: a key is
+    detected when its group holds a parent row and a sampled row.
+    """
+    if not len(parent):
+        return 0.0
+    _representatives, order, group_sorted = _group_keys(
+        np.concatenate((parent.batch.keys, sampled.batch.keys))
+    )
+    groups = np.empty(order.size, dtype=np.int64)
+    groups[order] = group_sorted
+    in_parent = np.zeros(int(group_sorted[-1]) + 1, dtype=bool)
+    in_sampled = np.zeros_like(in_parent)
+    in_parent[groups[: len(parent)]] = True
+    in_sampled[groups[len(parent) :]] = True
+    return int(np.count_nonzero(in_parent & in_sampled)) / int(
+        np.count_nonzero(in_parent)
+    )
+
+
+def flow_summary(parent: FlowSet, sampled: FlowSet) -> Dict[str, float]:
+    """The flat numeric summary of one sampling pass's populations.
+
+    Flow counts, the detected fraction (share of parent 5-tuples with
+    at least one sampled packet) and both mean sizes, rounded to six
+    places: :meth:`FlowStudy.summary` and the engine's
+    :func:`shard_flow_summary` both report this.
+    """
+    return {
+        "parent_flows": float(len(parent)),
+        "sampled_flows": float(len(sampled)),
+        "detected_fraction": round(_detected_fraction(parent, sampled), 6),
+        "parent_mean_packets": round(parent.mean_size(), 6),
+        "sampled_mean_packets": round(sampled.mean_size(), 6),
+    }
 
 
 def flow_study(
@@ -217,20 +266,7 @@ def shard_flow_summary(
     """
     if parent is None:
         parent = parent_flows(window)
-    sampled = _flow_set(window.select(indices))
-    parent_keys = parent.keys()
-    detected = (
-        len(sampled.keys() & parent_keys) / len(parent_keys)
-        if parent_keys
-        else 0.0
-    )
-    return {
-        "parent_flows": float(len(parent)),
-        "sampled_flows": float(len(sampled)),
-        "detected_fraction": round(detected, 6),
-        "parent_mean_packets": round(parent.mean_size(), 6),
-        "sampled_mean_packets": round(sampled.mean_size(), 6),
-    }
+    return flow_summary(parent, _flow_set(window.select(indices)))
 
 
 class StreamFlowAccountant:
@@ -268,20 +304,20 @@ class StreamFlowAccountant:
             max_flows=max_flows,
         )
         self.store = store if store is not None else Instrumentation()
-        self._parent_records: List[FlowRecord] = []
-        self._sampled_records: List[FlowRecord] = []
+        self._parent_batches: List[FlowBatch] = []
+        self._sampled_batches: List[FlowBatch] = []
         # Hot-path metrics resolved once; the per-packet path must not
         # pay name lookups or rebuild stats dicts (cf. the engine's
         # _Execution, which resolves its counters off the shard loop).
         self._sides: List[_Side] = []
-        for side, table, records in (
-            ("parent", self.parent_table, self._parent_records),
-            ("sampled", self.sampled_table, self._sampled_records),
+        for side, table, batches in (
+            ("parent", self.parent_table, self._parent_batches),
+            ("sampled", self.sampled_table, self._sampled_batches),
         ):
             self._sides.append(
                 (
                     table,
-                    records,
+                    batches,
                     self.store.gauge("flow_cache_occupancy_%s" % side),
                     self.store.gauge("flow_cache_peak_occupancy_%s" % side),
                     self.store.counter("flow_cache_exported_%s" % side),
@@ -292,26 +328,33 @@ class StreamFlowAccountant:
     def observe(
         self, timestamp_us: int, size: int, key: FlowKey, kept: bool
     ) -> None:
-        """Account one offered packet and its keep/skip decision."""
+        """Account one offered packet and its keep/skip decision.
+
+        A table's records enter through
+        :meth:`~repro.flows.batch.FlowBatch.from_records`; an arrival
+        that exported nothing builds no batch.
+        """
         parent, sampled = self._sides
-        self._commit(parent, parent[0].observe(timestamp_us, size, key))
+        records = parent[0].observe(timestamp_us, size, key)
+        self._commit(parent, FlowBatch.from_records(records) if records else None)
         if kept:
-            self._commit(sampled, sampled[0].observe(timestamp_us, size, key))
+            records = sampled[0].observe(timestamp_us, size, key)
+            self._commit(
+                sampled, FlowBatch.from_records(records) if records else None
+            )
 
     @staticmethod
-    def _commit(side: _Side, new_records: List[FlowRecord]) -> None:
-        """Keep the records one update of ``side``'s table exported and
-        bring its ``flow_cache_*`` metrics up to date.  Every update
-        ends here: :meth:`observe` after each packet,
-        :class:`~repro.fastpath.FlowAccountantKernel` after each chunk,
-        and :meth:`flush` at end of stream."""
-        table, records, occupancy, peak, exported, evicted = side
-        if new_records:
-            records.extend(new_records)
-            exported.inc(len(new_records))
-            evictions = sum(
-                record.reason == "evicted" for record in new_records
-            )
+    def _commit(side: _Side, batch: Optional[FlowBatch]) -> None:
+        """Keep the batch one update of ``side``'s table exported (none
+        when it exported nothing) and bring its ``flow_cache_*`` metrics
+        up to date.  Every update ends here: :meth:`observe` after each
+        packet, :class:`~repro.fastpath.FlowAccountantKernel` after each
+        chunk, and :meth:`flush` at end of stream."""
+        table, batches, occupancy, peak, exported, evicted = side
+        if batch is not None and len(batch):
+            batches.append(batch)
+            exported.inc(len(batch))
+            evictions = batch.count(REASON_EVICTED)
             if evictions:
                 evicted.inc(evictions)
         occupancy.set(float(table.occupancy))
@@ -320,15 +363,15 @@ class StreamFlowAccountant:
     def flush(self) -> None:
         """Close out both tables at end of stream."""
         for side in self._sides:
-            self._commit(side, side[0].flush())
+            self._commit(side, FlowBatch.from_records(side[0].flush()))
 
     def parent(self) -> FlowSet:
-        """Parent flow records exported so far."""
-        return FlowSet(records=tuple(self._parent_records))
+        """Parent flows exported so far."""
+        return FlowSet(FlowBatch.concat(self._parent_batches))
 
     def sampled(self) -> FlowSet:
-        """Sampled flow records exported so far."""
-        return FlowSet(records=tuple(self._sampled_records))
+        """Sampled flows exported so far."""
+        return FlowSet(FlowBatch.concat(self._sampled_batches))
 
 
 class NullFlowAccountant:

@@ -25,6 +25,13 @@ how sampling distorts flow statistics:
 Everything is deterministic: no randomness, no wall clock — time is
 the packet timestamps themselves, so the same trace always yields the
 same flow records in the same order.
+
+The table is the per-packet reference: it exports
+:class:`FlowRecord` objects.  Production code feeds it a chunk at a
+time through :func:`repro.flows.chunked.account_chunk`, which exports
+the same flows as columns (:class:`repro.flows.batch.FlowBatch`); what
+:meth:`FlowTable.observe` and :meth:`FlowTable.flush` return joins that
+format through :meth:`~repro.flows.batch.FlowBatch.from_records`.
 """
 
 from collections import OrderedDict
@@ -132,7 +139,9 @@ class FlowTable:
     (amortized O(1): each entry is expired at most once), at most one
     active-timeout export, and one dict update.  Exported records are
     returned from :meth:`observe` in export order so callers can stream
-    them onward without the table retaining anything.
+    them onward without the table retaining anything;
+    :meth:`~repro.flows.batch.FlowBatch.from_records` turns them into
+    the columnar batch the chunk kernel exports.
     """
 
     def __init__(

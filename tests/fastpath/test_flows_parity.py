@@ -8,6 +8,11 @@ any chunking.  Idle and active timeouts are reconstructed vectorially;
 Only an emergency eviction may fall back, so the eviction cases below
 exercise fallback correctness.  Time going backwards raises the
 per-packet table's error instead (:class:`TestBackwardsTime`).
+
+The kernel exports columns (:class:`~repro.flows.batch.FlowBatch`);
+every comparison with the reference's records goes through the one
+``to_records()``, and every batch the kernel returns is checked
+against the batch contract (:func:`check_batch`) on the way.
 """
 
 from unittest import mock
@@ -17,16 +22,33 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.fastpath import DEFAULT_CHUNK_PACKETS
+from repro.core.sampling.streaming import StreamingStratified
+from repro.fastpath import (
+    DEFAULT_CHUNK_PACKETS,
+    chunk_kernel_for,
+    iter_trace_chunks,
+    run_monitor,
+)
 from repro.fastpath.flows import FlowAccountantKernel
 from repro.flows import chunked
+from repro.flows.batch import REASON_CODES, REASONS, FlowBatch
 from repro.flows.chunked import (
     account_chunk,
     encode_flow_keys,
     fast_aggregate_trace,
 )
 from repro.flows.sampled import StreamFlowAccountant
-from repro.flows.table import FlowTable, aggregate_trace, iter_flow_keys
+from repro.flows.table import (
+    REASON_ACTIVE,
+    REASON_EVICTED,
+    REASON_FLUSH,
+    REASON_IDLE,
+    FlowRecord,
+    FlowTable,
+    aggregate_trace,
+    iter_flow_keys,
+)
+from repro.obs.live.monitor import QualityMonitor
 from repro.trace.trace import Trace
 
 
@@ -37,18 +59,32 @@ def feed_per_packet(table: FlowTable, trace: Trace):
     return records
 
 
-def iter_chunk_records(table: FlowTable, trace: Trace, chunk_sizes):
-    """``(start, records)`` per :func:`account_chunk` call over ragged
+def check_batch(batch: FlowBatch) -> FlowBatch:
+    """The batch contract: column dtypes, the ``(n, 5)`` key block,
+    equal lengths, and a lossless round trip through records."""
+    n = len(batch)
+    assert batch.keys.dtype == np.uint16 and batch.keys.shape == (n, 5)
+    for column in (batch.packets, batch.bytes, batch.first_us, batch.last_us):
+        assert column.dtype == np.int64 and column.shape == (n,)
+    assert batch.reasons.dtype == np.uint8 and batch.reasons.shape == (n,)
+    assert FlowBatch.from_records(batch.to_records()) == batch
+    return batch
+
+
+def iter_chunk_batches(table: FlowTable, trace: Trace, chunk_sizes):
+    """``(start, batch)`` per :func:`account_chunk` call over ragged
     chunks of ``chunk_sizes`` packets, the remainder last."""
     keys = encode_flow_keys(trace)
     start = 0
     for size in list(chunk_sizes) + [len(trace)]:
         stop = min(start + size, len(trace))
-        yield start, account_chunk(
-            table,
-            trace.timestamps_us[start:stop],
-            trace.sizes[start:stop],
-            keys[start:stop],
+        yield start, check_batch(
+            account_chunk(
+                table,
+                trace.timestamps_us[start:stop],
+                trace.sizes[start:stop],
+                keys[start:stop],
+            )
         )
         start = stop
         if start >= len(trace):
@@ -56,11 +92,12 @@ def iter_chunk_records(table: FlowTable, trace: Trace, chunk_sizes):
 
 
 def feed_chunked(table: FlowTable, trace: Trace, chunk_sizes):
-    return [
-        record
-        for _start, records in iter_chunk_records(table, trace, chunk_sizes)
-        for record in records
+    """The chunks' exports as records: every chunk's batch, empty ones
+    included, concatenated in order, then materialized."""
+    batches = [
+        batch for _start, batch in iter_chunk_batches(table, trace, chunk_sizes)
     ]
+    return check_batch(FlowBatch.concat(batches)).to_records()
 
 
 def no_fallback(*_args):
@@ -119,10 +156,12 @@ class TestEventFreeChunks:
     def test_event_free_chunk_exports_nothing(self):
         trace = flow_trace(200, seed=1)
         table = FlowTable()
-        records = account_chunk(
+        batch = account_chunk(
             table, trace.timestamps_us, trace.sizes, encode_flow_keys(trace)
         )
-        assert records == []
+        assert check_batch(batch).to_records() == []
+        # No batches at all concatenate to the same empty batch.
+        assert check_batch(FlowBatch.concat(())) == batch
 
     def test_repeat_packets_accumulate(self, tiny_trace):
         reference, subject = FlowTable(), FlowTable()
@@ -223,10 +262,10 @@ def active_cases_reached(n, seed, keys, gap_hi, idle_us, active_us,
         reasons = {r.reason for r in reference.observe(timestamp_us, size, key)}
         if reasons >= {"idle", "active"}:
             reached.add("idle and active at one arrival")
-    for start, records in iter_chunk_records(
+    for start, batch in iter_chunk_batches(
         FlowTable(**timeouts), trace, chunk_sizes
     ):
-        active = [r for r in records if r.reason == "active"]
+        active = [r for r in batch.to_records() if r.reason == "active"]
         if not active:
             continue
         chunk_first_us = int(trace.timestamps_us[start])
@@ -340,12 +379,22 @@ class TestEventfulFallback:
         assert_tables_identical(reference, subject)
 
 
+class TestFlowBatch:
+    def test_reason_codes_are_one_to_one(self):
+        assert sorted(REASONS) == sorted(
+            (REASON_IDLE, REASON_ACTIVE, REASON_EVICTED, REASON_FLUSH)
+        )
+        assert {REASONS[code]: code for code in REASON_CODES.values()} == (
+            REASON_CODES
+        )
+        assert sorted(REASON_CODES.values()) == list(range(len(REASONS)))
+
+
 class TestFastAggregateTrace:
     @pytest.mark.parametrize("chunk_packets", [1, 7, 1000, 10**9])
     def test_matches_reference(self, chunk_packets, tiny_trace):
-        assert fast_aggregate_trace(
-            tiny_trace, chunk_packets=chunk_packets
-        ) == aggregate_trace(tiny_trace)
+        batch = fast_aggregate_trace(tiny_trace, chunk_packets=chunk_packets)
+        assert check_batch(batch).to_records() == aggregate_trace(tiny_trace)
 
     def test_minute_trace_with_table_stats(self, minute_trace):
         subset = minute_trace.slice_packets(0, 8000)
@@ -354,7 +403,7 @@ class TestFastAggregateTrace:
         actual = fast_aggregate_trace(
             subset, table=subject, chunk_packets=1024
         )
-        assert actual == expected
+        assert check_batch(actual).to_records() == expected
         assert subject.stats() == reference.stats()
 
     def test_rejects_bad_chunk(self, tiny_trace):
@@ -362,7 +411,7 @@ class TestFastAggregateTrace:
             fast_aggregate_trace(tiny_trace, chunk_packets=0)
 
     def test_empty_trace(self):
-        assert fast_aggregate_trace(Trace.empty()) == []
+        assert check_batch(fast_aggregate_trace(Trace.empty())).to_records() == []
 
 
 class TestAccountantKernel:
@@ -425,7 +474,49 @@ class TestAccountantKernel:
                 trace.slice_packets(start, min(start + 64, len(trace))),
                 kept[start : start + 64],
             )
+        # The table of 8 evicts, so those chunks replay per packet.
+        evictions = reference.store.counter("flow_cache_evictions_parent")
+        assert evictions.value > 0
         assert subject.parent() == reference.parent()
+        assert subject.parent().records == reference.parent().records
+        assert subject.store.snapshot() == reference.store.snapshot()
+
+    def test_chunk_path_builds_no_records(self, five_minute_trace):
+        """The chunk path exports columns only: with every
+        ``FlowRecord`` construction refused, the production loop over
+        five minutes leaves the per-packet reference's flows in both
+        populations.  A 120 s active timeout makes idle and active
+        exports both fire."""
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the chunk path built a FlowRecord")
+
+        timeouts = dict(active_timeout_us=120_000_000)
+
+        def selector():
+            return StreamingStratified(50, rng=np.random.default_rng(9))
+
+        subject = StreamFlowAccountant(**timeouts)
+        with mock.patch.object(FlowRecord, "__init__", refuse):
+            run_monitor(
+                iter_trace_chunks(five_minute_trace),
+                chunk_kernel_for(selector()),
+                QualityMonitor(window_us=30_000_000),
+                accountant=FlowAccountantKernel(subject),
+            )
+        subject.flush()
+
+        reference = StreamFlowAccountant(**timeouts)
+        offer = selector().offer
+        for timestamp_us, size, key in iter_flow_keys(five_minute_trace):
+            reference.observe(timestamp_us, size, key, offer(timestamp_us))
+        reference.flush()
+
+        for table in (reference.parent_table, reference.sampled_table):
+            assert table.exported["idle"] > 0
+            assert table.exported["active"] > 0
+        assert subject.parent().records == reference.parent().records
+        assert subject.sampled().records == reference.sampled().records
         assert subject.store.snapshot() == reference.store.snapshot()
 
     def test_mask_shape_checked(self, tiny_trace):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.sampling.factory import METHOD_NAMES, make_sampler
 from repro.core.sampling.streaming import StreamingSystematic
+from repro.flows.batch import FlowBatch
 from repro.flows.sampled import (
     FLOW_SIZE_BINS,
     NULL_ACCOUNTANT,
@@ -34,8 +35,9 @@ class TestFlowSet:
         assert population.sizes().dtype == np.int64
 
     def test_empty(self):
-        empty = FlowSet(records=())
+        empty = FlowSet(FlowBatch.from_records(()))
         assert len(empty) == 0
+        assert empty.records == ()
         assert empty.total_packets == 0
         assert empty.mean_size() == 0.0
         assert empty.keys() == frozenset()
@@ -64,6 +66,11 @@ class TestSampledFlows:
         assert study.method == "systematic"
         assert study.granularity == 50.0
         assert 0.0 < study.detected_fraction < 1.0
+        # The key-column count agrees with the sets of 5-tuples.
+        parent_keys = study.parent.keys()
+        assert study.detected_fraction == len(
+            study.sampled.keys() & parent_keys
+        ) / len(parent_keys)
         summary = study.summary()
         assert summary["parent_flows"] == float(len(study.parent))
         assert summary["sampled_flows"] == float(len(study.sampled))
@@ -124,6 +131,10 @@ class TestDefaultAggregation:
         with per_packet("flows"):
             reference = study_from_result(window, result)
         assert shard_flow_summary(window, result.indices) == reference.summary()
+        parent_keys = reference.parent.keys()
+        assert reference.detected_fraction == len(
+            reference.sampled.keys() & parent_keys
+        ) / len(parent_keys)
 
     def test_flow_study(self, window, per_packet):
         def study():
