@@ -5,12 +5,15 @@ flow-accounted 1-in-50 streaming pass over a fixed slice of the
 calibrated hour, once through the per-packet reference loop (selector
 ``offer`` + monitor ``observe`` + accountant ``observe`` per packet)
 and once through the chunked pipeline
-(:func:`repro.fastpath.run_monitor`).  Outputs are asserted
-bit-identical before any timing is recorded — a fast wrong answer is
-not a result — and the speedup is gated at 10x, below the observed
-~12-14x while still catching a de-vectorization regression (the
-per-packet loop is ~7us/packet; anything near that on the fast path
-means a kernel silently fell back).
+(:func:`repro.fastpath.run_monitor`).  The pass runs twice, once per
+leg: the stratified selector, and the timer-systematic selector at a
+period of 50 mean gaps.  Each leg's outputs are asserted bit-identical
+before any timing is recorded — a fast wrong answer is not a result —
+and each leg's speedup is gated at 10x, below the observed ~20-25x
+while still catching a de-vectorization regression (the per-packet
+loop is ~7us/packet; anything near that on the fast path means a
+kernel silently fell back, or a selector's ``keep_mask`` loops per
+kept packet).
 
 Both flow accountants use a 120 s active timeout.  The slice is about
 460 s of traffic, so under the NetFlow default of 1800 s no active
@@ -29,7 +32,11 @@ import time
 
 import numpy as np
 
-from repro.core.sampling.streaming import StreamingStratified
+from repro.core.sampling.streaming import (
+    StreamingStratified,
+    StreamingTimerSystematic,
+)
+from repro.core.sampling.timer import mean_interarrival_us
 from repro.fastpath import (
     FlowAccountantKernel,
     chunk_kernel_for,
@@ -63,11 +70,17 @@ def test_fastpath_streaming(hour_trace, emit):
     window = hour_trace.slice_packets(0, PACKETS)
     packets = list(iter_flow_keys(window))
     assert len(packets) == PACKETS
-
-    def per_packet():
-        sampler = StreamingStratified(
+    period_us = mean_interarrival_us(window) * GRANULARITY
+    # wall_s key prefix -> a fresh selector of that leg.
+    legs = {
+        "": lambda: StreamingStratified(
             GRANULARITY, rng=np.random.default_rng(SEED)
-        )
+        ),
+        "timer_": lambda: StreamingTimerSystematic(period_us=period_us),
+    }
+
+    def per_packet(selector):
+        sampler = selector()
         monitor = QualityMonitor(window_us=WINDOW_US)
         accountant = StreamFlowAccountant(active_timeout_us=ACTIVE_TIMEOUT_US)
         windows = []
@@ -81,10 +94,8 @@ def test_fastpath_streaming(hour_trace, emit):
         accountant.flush()
         return windows, monitor, accountant
 
-    def fastpath():
-        sampler = StreamingStratified(
-            GRANULARITY, rng=np.random.default_rng(SEED)
-        )
+    def fastpath(selector):
+        sampler = selector()
         monitor = QualityMonitor(window_us=WINDOW_US)
         accountant = StreamFlowAccountant(active_timeout_us=ACTIVE_TIMEOUT_US)
         windows = []
@@ -101,33 +112,38 @@ def test_fastpath_streaming(hour_trace, emit):
         accountant.flush()
         return windows, monitor, accountant
 
-    # Identity first: timing a divergent pipeline would be meaningless.
-    ref_windows, ref_monitor, ref_accountant = per_packet()
-    fast_windows, fast_monitor, fast_accountant = fastpath()
-    assert [w.as_dict() for w in fast_windows] == [
-        w.as_dict() for w in ref_windows
-    ]
-    assert fast_monitor.store.snapshot() == ref_monitor.store.snapshot()
-    assert fast_accountant.parent() == ref_accountant.parent()
-    assert fast_accountant.sampled() == ref_accountant.sampled()
+    walls = {}
+    speedups = {}
+    for leg, selector in legs.items():
+        # Identity first: timing a divergent pipeline would be meaningless.
+        ref_windows, ref_monitor, ref_accountant = per_packet(selector)
+        fast_windows, fast_monitor, fast_accountant = fastpath(selector)
+        assert [w.as_dict() for w in fast_windows] == [
+            w.as_dict() for w in ref_windows
+        ]
+        assert fast_monitor.store.snapshot() == ref_monitor.store.snapshot()
+        assert fast_accountant.parent() == ref_accountant.parent()
+        assert fast_accountant.sampled() == ref_accountant.sampled()
 
-    walls = {
-        "per_packet": _best_of(ROUNDS, per_packet),
-        "fastpath": _best_of(ROUNDS, fastpath),
-    }
-    speedup = walls["per_packet"] / walls["fastpath"]
-    assert speedup >= MIN_SPEEDUP, (
-        "fastpath speedup %.1fx below the %.0fx gate "
-        "(per-packet %.3fs, fastpath %.3fs)"
-        % (speedup, MIN_SPEEDUP, walls["per_packet"], walls["fastpath"])
-    )
+        slow = walls[leg + "per_packet"] = _best_of(
+            ROUNDS, lambda: per_packet(selector)
+        )
+        fast = walls[leg + "fastpath"] = _best_of(
+            ROUNDS, lambda: fastpath(selector)
+        )
+        speedups[leg + "speedup"] = speedup = slow / fast
+        assert speedup >= MIN_SPEEDUP, (
+            "%sfastpath speedup %.1fx below the %.0fx gate "
+            "(per-packet %.3fs, fastpath %.3fs)"
+            % (leg, speedup, MIN_SPEEDUP, slow, fast)
+        )
 
     record = {
         "benchmark": "fastpath_streaming",
         "packets": PACKETS,
         "granularity": GRANULARITY,
         "rounds": ROUNDS,
-        "speedup": round(speedup, 1),
+        **{name: round(value, 1) for name, value in speedups.items()},
         "cpu_count": os.cpu_count(),
         "wall_s": {name: round(wall, 4) for name, wall in walls.items()},
     }

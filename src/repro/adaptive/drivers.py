@@ -22,8 +22,8 @@ path feeds it (:mod:`repro.core.sampling.streaming`):
 * systematic — the countdown to the next keep is carried modulo the
   new k (phase continuity);
 * stratified — the in-progress bucket is abandoned and a fresh
-  k'-bucket starts at the boundary, drawing its keep offset with one
-  ``Generator.integers`` call from the selector's own generator;
+  k'-bucket starts at the boundary, drawing its keep offset at its
+  first packet from the selector's own generator;
 * timer — the period is re-derived as ``unit_period_us * k'`` while
   the pending scheduled firing stands, so the firing grid bends
   without a discontinuity.
@@ -35,16 +35,12 @@ under any chunking — pinned by ``tests/adaptive``.
 """
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.adaptive.controller import AdaptiveController, Decision
-from repro.core.sampling.streaming import (
-    StreamingStratified,
-    StreamingSystematic,
-    StreamingTimerSystematic,
-)
+from repro.core.sampling.factory import make_selector
 from repro.core.sampling.timer import mean_interarrival_us
 from repro.core.metrics.phi import phi_coefficient
 from repro.fastpath.monitor import observe_chunk
@@ -55,42 +51,8 @@ __all__ = [
     "AdaptivePipeline",
     "AdaptiveRunResult",
     "T3BudgetDriver",
-    "make_selector",
     "run_adaptive",
 ]
-
-#: The streaming selectors the loop can drive (each has ``offer``,
-#: ``keep_mask`` and ``rekey``).
-Selector = Union[
-    StreamingSystematic, StreamingStratified, StreamingTimerSystematic
-]
-
-
-def make_selector(
-    method: str,
-    granularity: int,
-    seed: int = 0,
-    phase: int = 0,
-    unit_period_us: float = 0.0,
-) -> Selector:
-    """A streaming selector for ``method`` at ``granularity``.
-
-    ``unit_period_us`` is the timer period per unit granularity (the
-    mean interarrival, typically); required for ``timer-systematic``.
-    """
-    if method == "systematic":
-        return StreamingSystematic(granularity, phase=phase)
-    if method == "stratified":
-        return StreamingStratified(
-            granularity, rng=np.random.default_rng(seed)
-        )
-    if method == "timer-systematic":
-        if unit_period_us <= 0:
-            raise ValueError(
-                "timer-systematic needs a positive unit period"
-            )
-        return StreamingTimerSystematic(period_us=unit_period_us * granularity)
-    raise ValueError("unknown streaming method %r" % method)
 
 
 class AdaptivePipeline:
@@ -310,10 +272,16 @@ def run_adaptive(
     runs the per-packet ``offer`` reference that tests and the
     repository benchmark check it against.  The result — decisions,
     windows, keep counts, store metrics — is bit-identical either way.
-    For ``timer-systematic`` the unit period defaults to the trace's
-    mean interarrival, so granularity k means a period of k mean gaps.
+    For ``timer-systematic`` a ``unit_period_us`` of 0 derives the unit
+    period from the trace's mean interarrival, so granularity k means a
+    period of k mean gaps; a negative one is a ``ValueError``.
     """
-    if method == "timer-systematic" and unit_period_us <= 0:
+    if unit_period_us < 0:
+        raise ValueError(
+            "timer period must not be negative (0 derives it from the "
+            "trace), got %g" % unit_period_us
+        )
+    if method == "timer-systematic" and unit_period_us == 0:
         unit_period_us = mean_interarrival_us(trace)
     if monitor is None:
         monitor = QualityMonitor(window_us=window_us, min_scored=min_scored)

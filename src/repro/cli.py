@@ -442,7 +442,7 @@ def _window_status_line(stats, active_alerts: int) -> str:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    from repro.adaptive.drivers import make_selector
+    from repro.core.sampling.factory import make_selector
     from repro.core.sampling.timer import mean_interarrival_us
     from repro.fastpath import monitor_trace
     from repro.obs import Instrumentation, render_prometheus, write_run_dir

@@ -39,6 +39,7 @@ from repro.core.sampling.bytedriven import (
     byte_volume_estimate,
 )
 from repro.core.sampling.streaming import (
+    ChunkSelector,
     StreamingReservoir,
     StreamingSampler,
     StreamingStratified,
@@ -50,6 +51,7 @@ from repro.core.sampling.factory import (
     PACKET_DRIVEN,
     PREFERRED_PACKET_METHODS,
     make_sampler,
+    make_selector,
     paper_methods,
     systematic_phases,
 )
@@ -68,6 +70,7 @@ __all__ = [
     "AdaptiveSystematic",
     "ByteSystematicSampler",
     "byte_volume_estimate",
+    "ChunkSelector",
     "StreamingReservoir",
     "StreamingSampler",
     "StreamingStratified",
@@ -77,6 +80,7 @@ __all__ = [
     "PACKET_DRIVEN",
     "PREFERRED_PACKET_METHODS",
     "make_sampler",
+    "make_selector",
     "paper_methods",
     "systematic_phases",
 ]

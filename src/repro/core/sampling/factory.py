@@ -1,9 +1,10 @@
-"""Sampler construction by method name.
+"""Sampler and selector construction by method name.
 
 The experiment harness iterates over "the five basic methods" of
 Section 4 by name; this module centralizes how a (method, granularity)
 pair becomes a configured sampler, including the timer methods' need
-to derive their period from the trace being sampled.
+to derive their period from the trace being sampled, and how the
+online subcommands build the streaming selector of a method.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,12 @@ import numpy as np
 from repro.core.sampling.base import Sampler, require_rng
 from repro.core.sampling.simple import SimpleRandomSampler
 from repro.core.sampling.stratified import StratifiedRandomSampler
+from repro.core.sampling.streaming import (
+    ChunkSelector,
+    StreamingStratified,
+    StreamingSystematic,
+    StreamingTimerSystematic,
+)
 from repro.core.sampling.systematic import SystematicSampler
 from repro.core.sampling.timer import (
     TimerStratifiedSampler,
@@ -91,6 +98,33 @@ def make_sampler(
     raise ValueError(
         "unknown sampling method %r; expected one of %s" % (method, METHOD_NAMES)
     )
+
+
+def make_selector(
+    method: str,
+    granularity: int,
+    seed: int = 0,
+    phase: int = 0,
+    unit_period_us: float = 0.0,
+) -> ChunkSelector:
+    """A streaming selector for ``method`` at ``granularity``.
+
+    ``unit_period_us`` is the timer period per unit granularity (the
+    mean interarrival, typically); required for ``timer-systematic``.
+    """
+    if method == "systematic":
+        return StreamingSystematic(granularity, phase=phase)
+    if method == "stratified":
+        return StreamingStratified(
+            granularity, rng=np.random.default_rng(seed)
+        )
+    if method == "timer-systematic":
+        if unit_period_us <= 0:
+            raise ValueError(
+                "timer-systematic needs a positive unit period"
+            )
+        return StreamingTimerSystematic(period_us=unit_period_us * granularity)
+    raise ValueError("unknown streaming method %r" % method)
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,19 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.core.sampling.base import Sampler, require_rng
+from repro.core.sampling.streaming import StreamingStratified
 from repro.trace.trace import Trace
 
 
 class StratifiedRandomSampler(Sampler):
     """Select one uniformly random packet from each k-packet bucket.
 
-    The final partial bucket (fewer than k packets), if any, also
-    contributes one uniformly random packet, so the achieved fraction
-    stays within one packet of 1/k.
+    Each complete bucket's pick is
+    :class:`~repro.core.sampling.StreamingStratified`'s kernel, run
+    over the whole trace with the same generator.  The final partial
+    bucket (fewer than k packets), if any, also contributes one
+    uniformly random packet, so the achieved fraction stays within one
+    packet of 1/k.
     """
 
     name = "stratified"
@@ -38,13 +42,12 @@ class StratifiedRandomSampler(Sampler):
     ) -> np.ndarray:
         rng = require_rng(rng)
         n = len(trace)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        k = self.granularity
-        starts = np.arange(0, n, k, dtype=np.int64)
-        bucket_sizes = np.minimum(k, n - starts)
-        offsets = (rng.random(starts.size) * bucket_sizes).astype(np.int64)
-        return starts + offsets
+        complete = n - n % self.granularity
+        selector = StreamingStratified(self.granularity, rng=rng)
+        kept = selector.kept_positions(trace.timestamps_us[:complete])
+        if complete == n:
+            return kept
+        return np.append(kept, complete + int(rng.random() * (n - complete)))
 
     def parameters(self) -> Dict[str, float]:
         return {"granularity": float(self.granularity)}

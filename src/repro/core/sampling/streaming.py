@@ -7,7 +7,7 @@ with O(1) state.  This module provides streaming counterparts:
 
 * :class:`StreamingSystematic` — counter-based every-k-th selection;
 * :class:`StreamingStratified` — one random pick per k-packet bucket,
-  chosen by index drawn at bucket start (still one comparison per
+  drawn at the bucket's first packet (still one comparison per
   packet);
 * :class:`StreamingTimerSystematic` — periodic timer, next-arrival
   rule;
@@ -15,12 +15,14 @@ with O(1) state.  This module provides streaming counterparts:
   streaming analogue of simple random sampling (exact n-of-N without
   knowing N in advance).
 
-The first three are *selectors*: one object decides one packet
-(``offer``, the executable reference) or one chunk of arrivals
-(``keep_mask``, O(chunk) numpy) over one public state, bit-identically
-under any chunking and interleaving (``tests/fastpath/test_parity.py``),
-and ``rekey`` changes its granularity between packets.  Systematic and
-timer selection match their batch counterparts exactly; reservoir
+The first three are :class:`ChunkSelector` s, each owning its method's
+one selection kernel: ``keep_mask`` decides a chunk through it, the
+systematic and stratified batch samplers run it over the whole trace,
+and the timer kernel is built from the batch timer's own arithmetic.
+``offer``, the executable reference, decides one packet.  It and
+``keep_mask`` agree under any chunking and ``rekey`` interleaving, and
+both keep the batch sampler's packets (stratified: in every complete
+bucket), as ``tests/fastpath/test_parity.py`` pins.  Reservoir
 sampling, which has no batch analogue with matching draws, is tested
 for uniformity instead.
 """
@@ -30,13 +32,7 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from repro.core.sampling.base import require_rng
-
-
-def _as_timestamps(timestamps_us: np.ndarray) -> np.ndarray:
-    arr = np.asarray(timestamps_us, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError("timestamps must be one-dimensional")
-    return arr
+from repro.core.sampling.timer import next_arrivals, periodic_firings
 
 
 def _check_granularity(granularity: int) -> None:
@@ -61,16 +57,40 @@ class StreamingSampler:
         return np.asarray(selected, dtype=np.int64)
 
 
-class StreamingSystematic(StreamingSampler):
+class ChunkSelector(StreamingSampler):
+    """A selector that also decides a whole chunk of arrivals at once."""
+
+    def kept_positions(self, arrivals: np.ndarray) -> np.ndarray:
+        """The selection kernel: sorted positions kept among the next
+        ``arrivals`` (int64 µs), advancing the state ``offer`` does."""
+        raise NotImplementedError
+
+    def keep_mask(self, timestamps_us: np.ndarray) -> np.ndarray:
+        """Boolean keep/skip vector for the next chunk of arrivals."""
+        arrivals = np.asarray(timestamps_us, dtype=np.int64)
+        if arrivals.ndim != 1:
+            raise ValueError("timestamps must be one-dimensional")
+        mask = np.zeros(arrivals.size, dtype=bool)
+        mask[self.kept_positions(arrivals)] = True
+        return mask
+
+    def rekey(self, granularity: int, unit_period_us: float = 0.0) -> None:
+        """Switch to 1-in-``granularity`` between two packets
+        (``unit_period_us``, the timer period per unit granularity, is
+        ignored by the packet-driven selectors)."""
+        raise NotImplementedError
+
+
+class StreamingSystematic(ChunkSelector):
     """Counter-based every-k-th selection with a phase offset.
 
-    Equivalent to :class:`~repro.core.sampling.SystematicSampler`:
-    selects packets at positions ``phase, phase + k, ...`` of the
-    offered stream.  This is exactly the T3 firmware's mechanism.
-    State is ``countdown``, the packets left before the next keep; a
-    chunk of ``n`` packets keeps local positions ``countdown,
-    countdown + k, ...`` and advances the countdown by ``n`` modulo
-    ``k``.
+    Selects packets at positions ``phase, phase + k, ...`` of the
+    offered stream, which is exactly the T3 firmware's mechanism and
+    what :class:`~repro.core.sampling.SystematicSampler` runs over a
+    whole trace.  State is ``countdown``, the packets left before the
+    next keep; a chunk of ``n`` packets keeps local positions
+    ``countdown, countdown + k, ...`` and advances the countdown by
+    ``n`` modulo ``k``.
     """
 
     def __init__(self, granularity: int, phase: int = 0) -> None:
@@ -90,43 +110,37 @@ class StreamingSystematic(StreamingSampler):
             self.countdown -= 1
         return keep
 
-    def keep_mask(self, timestamps_us: np.ndarray) -> np.ndarray:
-        """Boolean keep/skip vector for the next chunk of arrivals."""
-        arrivals = _as_timestamps(timestamps_us)
+    def kept_positions(self, arrivals: np.ndarray) -> np.ndarray:
         n = arrivals.size
-        mask = np.zeros(n, dtype=bool)
-        if n == 0:
-            return mask
-        mask[self.countdown :: self.granularity] = True
+        kept = np.arange(self.countdown, n, self.granularity, dtype=np.int64)
         self.countdown = (self.countdown - n) % self.granularity
-        return mask
+        return kept
 
     def rekey(self, granularity: int, unit_period_us: float = 0.0) -> None:
         """Switch to 1-in-``granularity``, carrying the countdown mod k'.
 
-        The phase stays continuous across the change; ``unit_period_us``
-        is unused (it keeps one call shape for every selector).
+        The phase stays continuous across the change.
         """
         _check_granularity(granularity)
         self.countdown %= granularity
         self.granularity = granularity
 
 
-class StreamingStratified(StreamingSampler):
+class StreamingStratified(ChunkSelector):
     """One uniformly random packet per k-packet bucket, online.
 
-    At each bucket start the kept offset is drawn with one
-    ``Generator.integers`` call; subsequent offers compare the bucket
-    ``position`` against ``keep_offset``.  Like
-    :class:`~repro.core.sampling.StratifiedRandomSampler` it keeps one
-    uniform pick per complete bucket, but the two are not
-    draw-for-draw equal: the batch sampler draws ``random() * size``
-    and always picks inside a partial final bucket, whereas here a
-    partial final bucket keeps nothing when its drawn offset lies past
-    the end of the stream — a monitor cannot know the bucket will be
-    short, so for it that is the honest behaviour.  A chunk draws the
-    offsets of the buckets it completes with one vectorized call,
-    which consumes the generator exactly as the per-bucket draws do.
+    At each bucket's first packet the kept offset is drawn as
+    ``int(rng.random() * k)``, the draw
+    :class:`~repro.core.sampling.StratifiedRandomSampler` makes, and
+    later offers compare the bucket ``position`` against
+    ``keep_offset``.  With a generator seeded alike, both keep the same
+    packet in every complete bucket.  In a partial final bucket the
+    batch sampler picks within the bucket, whereas here nothing is kept
+    when the drawn offset lies past the end of the stream — a monitor
+    cannot know the bucket will be short, so for it that is the honest
+    behaviour.  A chunk draws the offsets of the buckets it starts with
+    one vectorized call, which consumes the generator exactly as the
+    per-bucket draws do.
     """
 
     def __init__(
@@ -136,64 +150,51 @@ class StreamingStratified(StreamingSampler):
         self.granularity = granularity
         self.rng = require_rng(rng)
         self.position = 0
-        self.keep_offset = int(self.rng.integers(0, granularity))
+        self.keep_offset = 0
 
     def offer(self, timestamp_us: int) -> bool:
+        if self.position == 0:
+            self.keep_offset = int(self.rng.random() * self.granularity)
         keep = self.position == self.keep_offset
-        self.position += 1
-        if self.position == self.granularity:
-            self.position = 0
-            self.keep_offset = int(self.rng.integers(0, self.granularity))
+        self.position = (self.position + 1) % self.granularity
         return keep
 
-    def keep_mask(self, timestamps_us: np.ndarray) -> np.ndarray:
-        """Boolean keep/skip vector for the next chunk of arrivals."""
-        arrivals = _as_timestamps(timestamps_us)
-        n = arrivals.size
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        k = self.granularity
-        position = self.position
-        completions = (position + n) // k
-        # offsets[j] is bucket j's keep position, bucket 0 being the
-        # (possibly partial) bucket in progress at chunk start; each
-        # completed bucket's wrap draws the next bucket's offset.
-        offsets = np.empty(completions + 1, dtype=np.int64)
-        offsets[0] = self.keep_offset
-        if completions:
-            draws = self.rng.integers(0, k, size=completions)
-            offsets[1:] = draws
-            self.keep_offset = int(draws[-1])
-        local = position + np.arange(n, dtype=np.int64)
-        mask = np.asarray((local % k) == offsets[local // k])
-        self.position = (position + n) % k
-        return mask
+    def kept_positions(self, arrivals: np.ndarray) -> np.ndarray:
+        n, k = arrivals.size, self.granularity
+        # Bucket starts local to the chunk; a negative first one is the
+        # bucket in progress, which keeps its drawn offset.
+        starts = np.arange(-self.position, n, k, dtype=np.int64)
+        fresh = starts.size - (self.position > 0)
+        offsets = np.full(starts.size, self.keep_offset, dtype=np.int64)
+        if fresh:
+            offsets[-fresh:] = (self.rng.random(fresh) * k).astype(np.int64)
+            self.keep_offset = int(offsets[-1])
+        self.position = (self.position + n) % k
+        kept = np.add(starts, offsets, out=starts)
+        return kept[(kept >= 0) & (kept < n)]
 
     def rekey(self, granularity: int, unit_period_us: float = 0.0) -> None:
         """Abandon the bucket in progress; start a fresh k'-bucket.
 
-        Its keep offset is one ``Generator.integers`` draw, so the RNG
-        stream stays aligned however the stream around it is chunked.
+        Its keep offset is drawn at its first packet, so the RNG stream
+        stays aligned however the stream around it is chunked.
         """
         _check_granularity(granularity)
         self.granularity = granularity
         self.position = 0
-        self.keep_offset = int(self.rng.integers(0, granularity))
 
 
-class StreamingTimerSystematic(StreamingSampler):
+class StreamingTimerSystematic(ChunkSelector):
     """Periodic timer with the paper's next-arrival rule, online.
 
-    The timer arms at the first packet's arrival; whenever a packet
-    arrives with the timer expired, it is kept and the timer re-arms
-    at the *scheduled* expiry (not the selection time), so firing times
-    stay on the strict grid — matching
-    :class:`~repro.core.sampling.TimerSystematicSampler` exactly,
-    including the deduplication of multiple expiries inside one gap.
-    State is ``next_firing`` (``None`` until the first arrival).  A
-    chunk binary-searches each firing's next arrival and advances the
-    deadline with ``offer``'s own float operations, once per *kept*
-    packet.
+    The timer's origin is the first packet's arrival plus ``phase_us``,
+    and firing ``j`` is at ``origin_us + period_us * j``, a strict grid.
+    Each firing keeps the next packet to arrive, once however many
+    firings land in one gap.  The arithmetic and the search are
+    :class:`~repro.core.sampling.TimerSystematicSampler`'s own, so both
+    keep exactly the same packets.  State is ``origin_us`` (``None``
+    until the first arrival) and ``fired``, the firings at or before
+    the latest arrival; ``next_firing`` is the pending one.
     """
 
     def __init__(self, period_us: float, phase_us: float = 0.0) -> None:
@@ -203,55 +204,50 @@ class StreamingTimerSystematic(StreamingSampler):
             raise ValueError("phase must be in [0, period)")
         self.period_us = float(period_us)
         self.phase_us = float(phase_us)
-        self.next_firing: Optional[float] = None
+        self.origin_us: Optional[float] = None
+        self.fired = 0
+
+    @property
+    def next_firing(self) -> Optional[float]:
+        """The pending firing time (``None`` until the first arrival)."""
+        if self.origin_us is None:
+            return None
+        return self.origin_us + self.period_us * self.fired
 
     def offer(self, timestamp_us: int) -> bool:
-        if self.next_firing is None:
-            self.next_firing = timestamp_us + self.phase_us
-        if timestamp_us < self.next_firing:
-            return False
-        # Skip every firing that has already passed: they all select
-        # this packet (the next to arrive), collapsed into one keep.
-        periods_behind = (timestamp_us - self.next_firing) // self.period_us
-        self.next_firing += (periods_behind + 1) * self.period_us
-        return True
+        if self.origin_us is None:
+            self.origin_us = timestamp_us + self.phase_us
+        # Every firing that has passed selects this packet, once.
+        keep = False
+        while self.origin_us + self.period_us * self.fired <= timestamp_us:
+            self.fired += 1
+            keep = True
+        return keep
 
-    def keep_mask(self, timestamps_us: np.ndarray) -> np.ndarray:
-        """Boolean keep/skip vector for the next chunk of arrivals."""
-        arrivals = _as_timestamps(timestamps_us)
-        n = arrivals.size
-        mask = np.zeros(n, dtype=bool)
-        if n == 0:
-            return mask
-        if self.next_firing is None:
-            self.next_firing = int(arrivals[0]) + self.phase_us
-        deadline = self.next_firing
-        period = self.period_us
-        start = 0
-        while True:
-            index = int(
-                np.searchsorted(arrivals[start:], deadline, side="left")
-            )
-            if index >= n - start:
-                break
-            index += start
-            mask[index] = True
-            kept_at = int(arrivals[index])
-            periods_behind = (kept_at - deadline) // period
-            deadline += (periods_behind + 1) * period
-            start = index + 1
-        self.next_firing = deadline
-        return mask
+    def kept_positions(self, arrivals: np.ndarray) -> np.ndarray:
+        if arrivals.size == 0:
+            return np.empty(0, dtype=np.int64)
+        if self.origin_us is None:
+            self.origin_us = int(arrivals[0]) + self.phase_us
+        last = int(arrivals[-1])
+        firings = periodic_firings(
+            self.origin_us, self.period_us, last + 1, start=self.fired
+        )
+        due = int(np.searchsorted(firings, last, side="right"))
+        self.fired += due
+        return next_arrivals(arrivals, firings[:due])
 
     def rekey(self, granularity: int, unit_period_us: float = 0.0) -> None:
         """Re-derive the period as ``unit_period_us * granularity``.
 
-        The pending scheduled firing stands, so the firing grid bends
-        without a discontinuity.
+        The pending firing stands as the new grid's origin, so the
+        firing grid bends without a discontinuity.
         """
         _check_granularity(granularity)
         if unit_period_us <= 0:
             raise ValueError("timer re-key needs a positive unit period")
+        self.origin_us = self.next_firing
+        self.fired = 0
         self.period_us = float(unit_period_us) * granularity
 
 

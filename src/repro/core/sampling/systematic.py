@@ -16,11 +16,15 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.sampling.base import Sampler
+from repro.core.sampling.streaming import StreamingSystematic
 from repro.trace.trace import Trace
 
 
 class SystematicSampler(Sampler):
     """Select packets ``phase, phase + k, phase + 2k, ...``.
+
+    The selection is :class:`~repro.core.sampling.StreamingSystematic`'s
+    kernel, run over the whole trace.
 
     Parameters
     ----------
@@ -33,19 +37,15 @@ class SystematicSampler(Sampler):
     name = "systematic"
 
     def __init__(self, granularity: int, phase: int = 0) -> None:
-        if granularity < 1:
-            raise ValueError("granularity must be >= 1, got %d" % granularity)
-        if not 0 <= phase < granularity:
-            raise ValueError(
-                "phase must be in [0, %d), got %d" % (granularity, phase)
-            )
+        StreamingSystematic(granularity, phase)  # checks both
         self.granularity = granularity
         self.phase = phase
 
     def sample_indices(
         self, trace: Trace, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
-        return np.arange(self.phase, len(trace), self.granularity, dtype=np.int64)
+        selector = StreamingSystematic(self.granularity, self.phase)
+        return selector.kept_positions(trace.timestamps_us)
 
     def parameters(self) -> Dict[str, float]:
         return {"granularity": float(self.granularity), "phase": float(self.phase)}

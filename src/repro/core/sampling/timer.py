@@ -36,6 +36,30 @@ def mean_interarrival_us(trace: Trace) -> float:
     return max(trace.duration_us / (len(trace) - 1), 1e-9)
 
 
+def periodic_firings(
+    first_us: float, period_us: float, stop_us: int, start: int = 0
+) -> np.ndarray:
+    """Firings ``first_us + period_us * j`` for ``j`` from ``start``.
+
+    The last ``j`` is ``floor((stop_us - first_us) / period_us)``: every
+    firing before ``stop_us`` is included, and one at or just past it
+    may be.
+    """
+    count = max(int(np.floor((stop_us - first_us) / period_us)) + 1, 0)
+    return first_us + period_us * np.arange(start, count)
+
+
+def next_arrivals(timestamps_us: np.ndarray, firings: np.ndarray) -> np.ndarray:
+    """Positions of the next packet to arrive at or after each firing.
+
+    A firing after the last arrival selects nothing, and several
+    firings in one gap select their packet once.
+    """
+    hits = np.searchsorted(timestamps_us, firings, side="left")
+    hits = hits[hits < timestamps_us.size]
+    return unique_hits(hits).astype(np.int64, copy=False)
+
+
 class TimerSampler(Sampler):
     """Common trigger machinery for timer-driven methods.
 
@@ -88,22 +112,16 @@ class TimerSampler(Sampler):
     def sample_indices(
         self, trace: Trace, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
-        n = len(trace)
-        if n == 0:
+        if len(trace) == 0:
             return np.empty(0, dtype=np.int64)
         start = int(trace.timestamps_us[0])
         stop = int(trace.timestamps_us[-1]) + 1
         firings = self._firing_times(start, stop, rng)
         if self.selection_rule == "next":
-            # Next packet to arrive at or after each firing.
-            idx = np.searchsorted(trace.timestamps_us, firings, side="left")
-            idx = idx[idx < n]
-        else:
-            # Most recent packet at or before each firing.
-            idx = (
-                np.searchsorted(trace.timestamps_us, firings, side="right") - 1
-            )
-            idx = idx[idx >= 0]
+            return next_arrivals(trace.timestamps_us, firings)
+        # Most recent packet at or before each firing.
+        idx = np.searchsorted(trace.timestamps_us, firings, side="right") - 1
+        idx = idx[idx >= 0]
         return unique_hits(idx).astype(np.int64, copy=False)
 
     def parameters(self) -> Dict[str, float]:
@@ -136,9 +154,7 @@ class TimerSystematicSampler(TimerSampler):
     def _firing_times(
         self, start_us: int, stop_us: int, rng: Optional[np.random.Generator]
     ) -> np.ndarray:
-        first = start_us + self.phase_us
-        count = max(int(np.floor((stop_us - first) / self.period_us)) + 1, 0)
-        return first + self.period_us * np.arange(count)
+        return periodic_firings(start_us + self.phase_us, self.period_us, stop_us)
 
     def parameters(self) -> Dict[str, float]:
         params = super().parameters()
@@ -155,6 +171,5 @@ class TimerStratifiedSampler(TimerSampler):
         self, start_us: int, stop_us: int, rng: Optional[np.random.Generator]
     ) -> np.ndarray:
         rng = require_rng(rng)
-        count = int(np.floor((stop_us - start_us) / self.period_us)) + 1
-        bucket_starts = start_us + self.period_us * np.arange(count)
-        return bucket_starts + rng.random(count) * self.period_us
+        bucket_starts = periodic_firings(start_us, self.period_us, stop_us)
+        return bucket_starts + rng.random(bucket_starts.size) * self.period_us

@@ -11,10 +11,12 @@ This package re-expresses that pipeline over :class:`~repro.trace.Trace`
 *chunks* (the columnar numpy layout :func:`~repro.trace.pcap.iter_pcap`
 already yields) as O(chunk) numpy kernels:
 
-* selection — each selector in :mod:`repro.core.sampling.streaming`
-  decides a whole chunk with its own ``keep_mask``, over the state its
-  per-packet ``offer`` carries; :func:`chunk_kernel_for` returns the
-  selector itself (``None`` for the reservoir);
+* selection — each :class:`~repro.core.sampling.streaming.ChunkSelector`
+  decides a chunk with ``keep_mask``, built from its method's one
+  kernel over the state ``offer`` carries; the batch samplers share the
+  kernel, and ``tests/fastpath/test_parity.py`` pins that all three
+  keep the same packets.  :func:`chunk_kernel_for` returns the selector
+  itself (``None`` for the reservoir);
 * :mod:`repro.fastpath.flows` — the online face of the vectorized
   flow-accounting kernel of :mod:`repro.flows.chunked` (packed-integer
   5-tuple grouping, segmented reconstruction of idle and active
@@ -37,6 +39,7 @@ eviction), it falls back to the per-packet reference for that chunk,
 so identity never rests on an approximation.
 """
 
+from repro.core.sampling.streaming import ChunkSelector
 from repro.fastpath.flows import FlowAccountantKernel
 from repro.flows.chunked import (
     account_chunk,
@@ -46,7 +49,6 @@ from repro.flows.chunked import (
 from repro.fastpath.monitor import observe_chunk
 from repro.fastpath.pipeline import (
     DEFAULT_CHUNK_PACKETS,
-    ChunkSelector,
     chunk_kernel_for,
     iter_trace_chunks,
     monitor_trace,

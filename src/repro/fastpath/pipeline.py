@@ -11,25 +11,17 @@ without a chunk path it runs the per-packet loop that is the
 executable reference.
 """
 
-from typing import (
-    Callable,
-    Iterable,
-    Iterator,
-    Optional,
-    Protocol,
-    runtime_checkable,
-)
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from repro.core.sampling.streaming import StreamingSampler
+from repro.core.sampling.streaming import ChunkSelector, StreamingSampler
 from repro.fastpath.flows import FlowAccountantKernel
 from repro.fastpath.monitor import observe_chunk
 from repro.obs.live.monitor import QualityMonitor, WindowStats
 from repro.trace.trace import Trace
 
 __all__ = [
-    "ChunkSelector",
     "DEFAULT_CHUNK_PACKETS",
     "chunk_kernel_for",
     "iter_trace_chunks",
@@ -43,21 +35,8 @@ __all__ = [
 DEFAULT_CHUNK_PACKETS = 65_536
 
 
-@runtime_checkable
-class ChunkSelector(Protocol):
-    """A selector that decides a whole chunk of arrivals at once.
-
-    The systematic, stratified and timer selectors of
-    :mod:`repro.core.sampling.streaming` implement it.
-    """
-
-    def keep_mask(self, timestamps_us: np.ndarray) -> np.ndarray:
-        """Boolean keep/skip vector for the next chunk of arrivals."""
-        ...
-
-
 def chunk_kernel_for(sampler: StreamingSampler) -> Optional[ChunkSelector]:
-    """``sampler`` itself if it has ``keep_mask``, else ``None``.
+    """``sampler`` itself if it is a :class:`ChunkSelector`, else ``None``.
 
     The reservoir revises past picks, so it has no chunk path; callers
     stay on its per-packet ``offer``.

@@ -17,8 +17,6 @@ scale-by-N estimation of totals.
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.core.sampling.streaming import StreamingSystematic
 from repro.netmon.objects import StatisticalObject, t3_object_set
 from repro.trace.trace import Trace
@@ -40,8 +38,7 @@ class Subsystem(StreamingSystematic):
 
     def select(self, batch: Trace) -> Trace:
         """The batch's selected packets, phase carried across batches."""
-        mask = self.keep_mask(batch.timestamps_us)
-        selected = batch.select(np.flatnonzero(mask))
+        selected = batch.select(self.kept_positions(batch.timestamps_us))
         self.forwarded_packets += len(selected)
         return selected
 

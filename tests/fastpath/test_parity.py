@@ -7,7 +7,8 @@ per-packet ``offer`` produces, and leave the selector holding the same
 state.  Hypothesis drives the chunking-invariance properties;
 fixed cases pin the boundary placements that historically break
 chunked reimplementations (chunk edge on a bucket edge, timer firing
-exactly at a chunk's first arrival, empty chunks).
+exactly at a chunk's first arrival, empty chunks).  The batch
+agreement properties pin both paths to the batch samplers.
 """
 
 import numpy as np
@@ -21,9 +22,11 @@ from repro.core.sampling.streaming import (
     StreamingSystematic,
     StreamingTimerSystematic,
 )
+from repro.core.sampling.stratified import StratifiedRandomSampler
 from repro.core.sampling.systematic import SystematicSampler
 from repro.core.sampling.timer import TimerSystematicSampler
 from repro.fastpath import chunk_kernel_for
+from repro.trace.trace import Trace
 
 KINDS = ("systematic", "stratified", "timer")
 
@@ -198,35 +201,85 @@ class TestBoundaryPlacements:
 
 
 class TestBatchAgreement:
-    """fastpath == streaming == batch where batch equivalence exists.
+    """Every chunk selector keeps exactly its batch sampler's packets.
 
-    The batch stratified sampler draws with a different RNG discipline
-    (``random() * size`` per bucket), so bit-equality with the
-    streaming/fastpath pair is only defined for systematic and timer;
-    stratified parity is pinned against streaming above.
+    Systematic and timer selection agree packet for packet: per-packet
+    ``offer``, ragged-chunk ``keep_mask`` and the batch sampler.
+    Stratified selection agrees in every complete bucket, where both
+    draw ``int(random() * k)`` from a generator seeded alike; in a
+    partial final bucket the batch sampler picks within the bucket,
+    while the selector may keep nothing.
     """
 
-    def test_systematic_three_way(self, minute_trace):
-        k, phase = 50, 7
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=600),
+        k=st.integers(min_value=1, max_value=50),
+        phase_seed=st.integers(min_value=0, max_value=999),
+        chunk_sizes=st.lists(
+            st.integers(min_value=0, max_value=97), max_size=40
+        ),
+    )
+    def test_systematic_three_way(self, n, k, phase_seed, chunk_sizes):
+        phase = phase_seed % k
+        ts = arrivals(n, phase_seed)
         batch = SystematicSampler(granularity=k, phase=phase).sample_indices(
-            minute_trace
+            Trace(timestamps_us=ts, sizes=[40] * n)
         )
-        kernel = StreamingSystematic(granularity=k, phase=phase)
-        mask = kernel_decisions(
-            kernel, minute_trace.timestamps_us, [3000] * 9
+        offered = StreamingSystematic(k, phase=phase).offer_all(ts)
+        chunked = kernel_decisions(
+            StreamingSystematic(k, phase=phase), ts, chunk_sizes
         )
-        assert np.array_equal(np.flatnonzero(mask), batch)
+        assert np.array_equal(offered, batch)
+        assert np.array_equal(np.flatnonzero(chunked), batch)
 
-    def test_timer_three_way(self, minute_trace):
-        period = 40_000.0
-        batch = TimerSystematicSampler(period_us=period).sample_indices(
-            minute_trace
+    @settings(max_examples=80, deadline=None)
+    @given(
+        gaps=st.lists(st.integers(min_value=0, max_value=3), max_size=600),
+        period_tenths=st.integers(min_value=1, max_value=60),
+        phase_tenths=st.integers(min_value=0, max_value=59),
+        chunk_sizes=st.lists(
+            st.integers(min_value=0, max_value=97), max_size=40
+        ),
+    )
+    # np.arange(2000) at a 1.1 us period: float rounding of the firing
+    # grid once put 212 positions out of step with the batch sampler.
+    @example(gaps=[1] * 1999, period_tenths=11, phase_tenths=0, chunk_sizes=[])
+    def test_timer_three_way(
+        self, gaps, period_tenths, phase_tenths, chunk_sizes
+    ):
+        ts = np.cumsum([0] + gaps).astype(np.int64)
+        period = period_tenths / 10
+        phase = (phase_tenths % period_tenths) / 10
+        batch = TimerSystematicSampler(
+            period_us=period, phase_us=phase
+        ).sample_indices(Trace(timestamps_us=ts, sizes=[40] * ts.size))
+        offered = StreamingTimerSystematic(period, phase).offer_all(ts)
+        chunked = kernel_decisions(
+            StreamingTimerSystematic(period, phase), ts, chunk_sizes
         )
-        kernel = StreamingTimerSystematic(period_us=period)
-        mask = kernel_decisions(
-            kernel, minute_trace.timestamps_us, [1000] * 30
+        assert np.array_equal(offered, batch)
+        assert np.array_equal(np.flatnonzero(chunked), batch)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=600),
+        k=st.integers(min_value=1, max_value=50),
+        seed=st.integers(min_value=0, max_value=10_000),
+        chunk_sizes=st.lists(
+            st.integers(min_value=0, max_value=97), max_size=40
+        ),
+    )
+    def test_stratified_every_complete_bucket(self, n, k, seed, chunk_sizes):
+        ts = arrivals(n, seed)
+        trace = Trace(timestamps_us=ts, sizes=[40] * n)
+        batch = StratifiedRandomSampler(granularity=k).sample_indices(
+            trace, np.random.default_rng(seed)
         )
-        assert np.array_equal(np.flatnonzero(mask), batch)
+        selector = StreamingStratified(k, rng=np.random.default_rng(seed))
+        kept = np.flatnonzero(kernel_decisions(selector, ts, chunk_sizes))
+        complete = n // k
+        assert np.array_equal(kept[kept < complete * k], batch[:complete])
 
 
 class TestKernelFactory:

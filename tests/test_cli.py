@@ -199,6 +199,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err == "error: phase must be in [0, 16), got 100\n"
 
+    def test_negative_timer_period_is_rejected(self, tmp_path, capsys):
+        # 0 derives the period from the trace; a negative one is an
+        # error, as it is for monitor, not silently derived as well.
+        trace_path = str(tmp_path / "t.pcap")
+        main(["generate", trace_path, "--duration", "5", "--seed", "5"])
+        capsys.readouterr()
+        argv = [
+            "adapt", trace_path, "--method", "timer-systematic",
+            "--period-us", "-5",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: timer period must not be negative "
+            "(0 derives it from the trace), got -5\n"
+        )
+
     def test_out_of_order_timestamps_are_rejected(self, tmp_path, capsys):
         # A record stamped before its predecessor is malformed input:
         # one line naming the record, exit 2, never a traceback.
