@@ -7,9 +7,10 @@ serially.  This subpackage runs it as a sharded task graph instead:
 * :mod:`repro.engine.planner` expands a grid into independent
   :class:`~repro.engine.planner.Shard` cells, each with an RNG seeded
   from its *cell key* so results never depend on execution order;
-* :mod:`repro.engine.sharedtrace` ships the parent trace to workers
-  once through ``multiprocessing.shared_memory`` (zero-copy NumPy
-  views, no per-task pickling of packet columns);
+* :mod:`repro.engine.sharedtrace` hands the parent trace to workers
+  as column files they map read-only — a trace-store entry's own
+  files, or one spill of an in-memory trace to a private temp dir — so
+  no packet column is pickled per task;
 * :mod:`repro.engine.checkpoint` journals completed shards to JSONL so
   an interrupted sweep resumes where it stopped;
 * :mod:`repro.engine.telemetry` records per-shard wall time,
@@ -17,7 +18,7 @@ serially.  This subpackage runs it as a sharded task graph instead:
 * :mod:`repro.engine.runner` schedules it all.
 
 Observability is layered on through :mod:`repro.obs`: the runner opens
-hierarchical spans around planning, checkpoint I/O, shared-memory
+hierarchical spans around planning, checkpoint I/O, trace
 publication, and execution; workers report per-phase busy seconds
 (window/sample/score) and peak RSS alongside each result; every
 injected fault and recovery action becomes a structured event in the
@@ -62,11 +63,10 @@ from repro.engine.runner import ParallelRunner, QuarantinedShards, run_grid
 from repro.engine.sharedtrace import (
     MemmapTraceBuffer,
     MemmapTraceSpec,
-    SharedTraceBuffer,
-    SharedTraceSpec,
+    SpilledTraceBuffer,
     attach_trace,
     publish_trace,
-    reap_stale_segments,
+    reap_stale_dirs,
 )
 from repro.engine.telemetry import EngineEvent, RunTelemetry, ShardTiming
 from repro.engine.worker import ShardContext, execute_shard, records_digest
@@ -91,11 +91,10 @@ __all__ = [
     "run_grid",
     "MemmapTraceBuffer",
     "MemmapTraceSpec",
-    "SharedTraceBuffer",
-    "SharedTraceSpec",
+    "SpilledTraceBuffer",
     "attach_trace",
     "publish_trace",
-    "reap_stale_segments",
+    "reap_stale_dirs",
     "EngineEvent",
     "RunTelemetry",
     "ShardTiming",

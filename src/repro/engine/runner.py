@@ -9,8 +9,10 @@ completed :class:`~repro.core.evaluation.experiment.ExperimentResult`:
 2. completed shards from a previous run are replayed from the
    checkpoint journal (``resume=True``) and skipped;
 3. the rest execute either inline (``jobs=1``) or on a
-   ``ProcessPoolExecutor`` whose workers share the parent trace through
-   one shared-memory block — no per-task pickling of packet columns;
+   ``ProcessPoolExecutor`` whose workers map the parent trace's column
+   files — the trace store's own files on a warm cache hit, otherwise
+   one spill to a private temp dir; no per-task pickling of packet
+   columns;
 4. per-shard records are journaled as they complete and merged in
    canonical sweep order, so the result is bit-identical to a serial
    run regardless of worker count, scheduling, or interruptions.
@@ -30,8 +32,9 @@ bounded, reported recovery:
   jitter, up to ``max_attempts``;
 * **worker death** (``os._exit``, SIGKILL, OOM) — the pool breaks; the
   dead worker's breadcrumb names the shard it was holding, which is
-  charged an attempt, every other in-flight shard is requeued free,
-  and the pool is rebuilt;
+  charged an attempt, every other in-flight shard is requeued free
+  (the teardown SIGTERMs the surviving workers, and a worker that
+  exited by SIGTERM is never charged), and the pool is rebuilt;
 * **hang / straggler** — a shard running past ``shard_timeout_s`` is
   charged an attempt, the pool (the only way to preempt a stuck
   worker) is killed and rebuilt, and innocents are requeued free;
@@ -53,7 +56,7 @@ perturb results.  Deterministic fault injection
 
 import os
 import shutil
-import tempfile
+import signal
 import time
 import warnings
 from collections import deque
@@ -82,8 +85,9 @@ from repro.engine.faults import (
 from repro.engine.planner import GridPlanner, Shard
 from repro.engine.sharedtrace import (
     TraceBuffer,
+    owned_temp_dir,
     publish_trace,
-    reap_stale_segments,
+    reap_stale_dirs,
 )
 from repro.engine.telemetry import RunTelemetry, ShardTiming
 from repro.engine.worker import (
@@ -107,6 +111,9 @@ ProgressCallback = Callable[[str, int, int], None]
 #: immediately via ``wait``.
 _TICK_S = 0.05
 
+#: How long a pool teardown waits for its SIGTERMed workers to exit.
+_JOIN_S = 5.0
+
 
 class QuarantinedShards(UserWarning):
     """Emitted when a sweep completes with shards quarantined."""
@@ -119,7 +126,7 @@ class ParallelRunner:
     ----------
     jobs:
         Worker processes.  ``1`` runs every shard inline in this
-        process (no pool, no shared memory) — the results are
+        process (no pool, no published trace) — the results are
         bit-identical either way.
     run_dir:
         Directory for the checkpoint journal and run manifest.  Without
@@ -508,12 +515,12 @@ class _Execution:
     # pool execution
 
     def run_pool(self, pending: List[Shard]) -> None:
-        reap_stale_segments()
-        crumb_dir = tempfile.mkdtemp(prefix="repro-engine-")
+        reap_stale_dirs()
+        crumb_dir = owned_temp_dir("crumbs")
         try:
-            # publish_trace picks the transport: memmap-backed traces
-            # (a warm TraceStore hit) are published by file reference;
-            # anything else is copied once into shared memory.
+            # The span and the gauge keep their names from when the
+            # trace was copied into shared memory: perfbench reads the
+            # span, and every sweep's metrics.prom carries the gauge.
             with self.obs.span("shared_memory_publish"):
                 buffer = publish_trace(self.trace)
             self.obs.gauge("shared_memory_bytes").set(buffer.nbytes)
@@ -532,9 +539,17 @@ class _Execution:
         )
 
     @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down *now*, stuck workers included."""
-        for process in list(getattr(pool, "_processes", {}).values()):
+    def _kill_pool(pool: ProcessPoolExecutor) -> Dict[int, Optional[int]]:
+        """Tear a pool down *now*, stuck workers included.
+
+        Returns each worker's exit code by pid, read once the worker is
+        joined (``None`` if it did not exit within :data:`_JOIN_S`):
+        when the parent first sees a broken pool, CPython's teardown may
+        not have SIGTERMed the survivors yet.
+        """
+        # shutdown() drops the executor's process table: read it first.
+        processes = list((getattr(pool, "_processes", None) or {}).values())
+        for process in processes:
             try:
                 process.terminate()
             except Exception:
@@ -543,9 +558,27 @@ class _Execution:
         # queues; the executor's threads clean themselves up once the
         # dead processes are reaped.
         pool.shutdown(wait=False, cancel_futures=True)
+        codes: Dict[int, Optional[int]] = {}
+        deadline = time.monotonic() + _JOIN_S
+        for process in processes:
+            # The executor's own thread may reap a worker first; its
+            # exit code then reaches this handle a moment later.
+            while process.exitcode is None and time.monotonic() < deadline:
+                process.join(_TICK_S)
+            codes[process.pid] = process.exitcode
+        return codes
 
-    def _blamed_indices(self, crumb_dir: str) -> set:
-        """Shards dead workers were holding (and clear the breadcrumbs)."""
+    def _blamed_indices(
+        self, crumb_dir: str, exit_codes: Dict[int, Optional[int]]
+    ) -> set:
+        """Shards dead workers were holding (and clear the breadcrumbs).
+
+        A breadcrumb is named for its worker's pid.  A worker that exited
+        by SIGTERM was killed by the pool teardown — CPython's, or
+        :meth:`_kill_pool`'s — whatever shard it held, so its breadcrumb
+        charges nobody; any other exit (an injected crash's 86, an OOM
+        kill's -9, or no exit code at all) charges the shard it names.
+        """
         blamed = set()
         try:
             names = os.listdir(crumb_dir)
@@ -559,7 +592,8 @@ class _Execution:
                 os.remove(path)
             except OSError:
                 continue
-            if text.isdigit():
+            killed = name.isdigit() and exit_codes.get(int(name)) == -signal.SIGTERM
+            if text.isdigit() and not killed:
                 blamed.add(int(text))
         return blamed
 
@@ -574,22 +608,22 @@ class _Execution:
         delayed: List[Tuple[float, Shard]] = []  # (due monotonic, shard)
         inflight: Dict[Future, List] = {}  # future -> [shard, running_since]
 
+        def charge(shard: Shard, exc: BaseException) -> None:
+            """Fail one attempt; a shard with attempts left retries
+            after its backoff."""
+            if self.register_failure(shard, exc):
+                delayed.append((time.monotonic() + self.backoff_delay(shard), shard))
+
         def recover(reason: str) -> bool:
             """Kill + rebuild (or degrade); returns False on degrade."""
             nonlocal pool, rebuilds
-            self._kill_pool(pool)
+            exit_codes = self._kill_pool(pool)
             rebuilds += 1
             self.telemetry.record_event("pool_rebuild", detail=reason)
-            blamed = self._blamed_indices(crumb_dir)
+            blamed = self._blamed_indices(crumb_dir, exit_codes)
             for shard, _ in inflight.values():
                 if shard.index in blamed:
-                    if self.register_failure(shard, PoolCrashError(reason)):
-                        delayed.append(
-                            (
-                                time.monotonic() + self.backoff_delay(shard),
-                                shard,
-                            )
-                        )
+                    charge(shard, PoolCrashError(reason))
                 else:
                     queue.append(shard)  # innocent bystander, no charge
             inflight.clear()
@@ -670,14 +704,7 @@ class _Execution:
                         pool_broke = True
                         break
                     except Exception as exc:
-                        if self.register_failure(shard, exc):
-                            delayed.append(
-                                (
-                                    time.monotonic()
-                                    + self.backoff_delay(shard),
-                                    shard,
-                                )
-                            )
+                        charge(shard, exc)
                         continue
                     self.complete(
                         shard,
@@ -712,40 +739,19 @@ class _Execution:
                 if expired is not None:
                     future, shard = expired
                     inflight.pop(future)
-                    exc = ShardTimeoutError(
-                        "shard %s exceeded its %.3gs deadline"
-                        % (shard.key, runner.shard_timeout_s)
+                    charge(
+                        shard,
+                        ShardTimeoutError(
+                            "shard %s exceeded its %.3gs deadline"
+                            % (shard.key, runner.shard_timeout_s)
+                        ),
                     )
-                    if self.register_failure(shard, exc):
-                        delayed.append(
-                            (
-                                time.monotonic() + self.backoff_delay(shard),
-                                shard,
-                            )
-                        )
                     # A stuck worker can only be preempted by tearing
-                    # the pool down around it.  The timed-out shard is
-                    # already charged; don't let its breadcrumb (or the
-                    # kill) charge anyone again.
-                    self._kill_pool(pool)
-                    rebuilds += 1
-                    self.telemetry.record_event(
-                        "pool_rebuild",
-                        detail="killed pool to preempt %s" % shard.key,
-                    )
-                    self._blamed_indices(crumb_dir)  # clear breadcrumbs
-                    for other, _ in inflight.values():
-                        queue.append(other)
-                    inflight.clear()
-                    if rebuilds > runner.max_pool_rebuilds:
-                        self.telemetry.record_event(
-                            "serial_fallback",
-                            detail="pool collapsed %d times; finishing "
-                            "serially" % rebuilds,
-                        )
-                        pool = None
+                    # the pool down around it.  The teardown SIGTERMs
+                    # every worker, so no breadcrumb charges the
+                    # timed-out shard again, nor any sibling.
+                    if not recover("killed pool to preempt %s" % shard.key):
                         break
-                    pool = self._new_pool(buffer, crumb_dir)
         finally:
             if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)

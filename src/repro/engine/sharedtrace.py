@@ -2,209 +2,126 @@
 
 A parallel sweep must not pickle the parent population into every task:
 an hour of calibrated traffic is ~1.6 million packets across seven
-columns, and per-task serialization would swamp the work itself.  This
-module instead publishes the trace's columns **once** into a single
-:mod:`multiprocessing.shared_memory` block; each worker attaches by
-name and reconstructs NumPy views over the same physical pages, so the
-per-worker cost is one mmap plus the trace's O(n) monotonicity check.
+columns, and per-task serialization would swamp the work itself.  Every
+worker instead maps the trace's columns from files: the picklable
+:class:`MemmapTraceSpec` carries each column's path, dtype and file
+offset, and :func:`attach_trace` rebuilds the trace as read-only
+:class:`numpy.memmap` arrays over the page cache the parent shares, so
+the per-worker cost is seven mmaps plus the trace's O(n) monotonicity
+check.
 
-Layout: columns are packed back-to-back in :data:`~repro.trace.trace.Trace`
-slot order, each aligned to its own dtype (the offsets in the spec are
-authoritative).  The picklable :class:`SharedTraceSpec` carries the
-block name and per-column (dtype, offset) so attachment needs no other
-channel.
+:func:`publish_trace` decides who owns the files:
 
-Traces that are already file-backed — e.g. served out of a
-:class:`~repro.trace.store.TraceStore` cache entry — skip shared memory
-entirely: :func:`publish_trace` notices that every column is a
-read-only memory map and hands workers a :class:`MemmapTraceSpec`
-(per-column path + file offset) instead, so each worker maps the same
-on-disk pages the parent uses and the publish step copies nothing.
+* a trace that is already file-backed — e.g. served out of a
+  :class:`~repro.trace.store.TraceStore` cache entry — is published by
+  reference: :class:`MemmapTraceBuffer` copies nothing, and its
+  ``close`` is a no-op because the store owns the files;
+* any other trace is spilled once: :class:`SpilledTraceBuffer` writes
+  each column as a raw file into a private temp dir and removes the dir
+  on ``close``.
+
+The engine's temp dirs (the spill dir here, the runner's breadcrumb
+dir) are named ``repro-<kind>-<owner pid>-<random>`` under
+:func:`tempfile.gettempdir`.  Their owners remove them on every exit
+path short of SIGKILL; :func:`reap_stale_dirs`, run at the start of
+every pool run, removes the ones whose owner is dead.
 """
 
 import atexit
 import os
-import secrets
+import re
+import shutil
+import tempfile
 from dataclasses import dataclass
-from multiprocessing import shared_memory
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.trace.trace import Trace
+from repro.trace.trace import TRACE_COLUMNS, Trace
 
-#: Name prefix of every segment this module creates.  The owner's pid
-#: is baked into the name (``repro-trace-<pid>-<token>``) so the
-#: reaper can tell a live run's segment from a leaked one.
-SEGMENT_PREFIX = "repro-trace"
-
-#: Column transport order — Trace's slot order.
-_COLUMNS = (
-    "timestamps_us",
-    "sizes",
-    "protocols",
-    "src_nets",
-    "dst_nets",
-    "src_ports",
-    "dst_ports",
-)
-
-
-@dataclass(frozen=True)
-class SharedTraceSpec:
-    """Everything a worker needs to attach: name, length, layout."""
-
-    shm_name: str
-    n_packets: int
-    columns: Tuple[Tuple[str, str, int], ...]  # (column, dtype str, offset)
+#: Name of a temp dir made by :func:`owned_temp_dir`: the kind (a
+#: column spill or the runner's breadcrumbs), then the owner's pid.
+_OWNED_DIR = re.compile(r"repro-(trace|crumbs)-(\d+)-")
 
 
 @dataclass(frozen=True)
 class MemmapTraceSpec:
-    """A file-backed trace: workers map the files, nothing is copied."""
+    """Everything a worker needs to map the trace's column files."""
 
     n_packets: int
     columns: Tuple[Tuple[str, str, str, int], ...]  # (column, dtype, path, offset)
 
 
-TraceSpec = Union[SharedTraceSpec, MemmapTraceSpec]
+class TraceBuffer:
+    """Owner side of a published trace: ``spec``, ``nbytes``, ``close``.
 
-
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without resource-tracker adoption.
-
-    On attach (``create=False``) CPython < 3.13 registers the segment
-    with the worker's resource tracker, which then unlinks it when the
-    worker exits — yanking the pages out from under sibling workers and
-    spamming "leaked shared_memory" warnings.  Ownership here is
-    explicit (the parent created the block and unlinks it), so workers
-    must opt out of tracking: via ``track=False`` where available
-    (3.13+), otherwise by suppressing the register call for the
-    duration of the attach.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        pass
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-
-    def _skip_shared_memory(resource_name: str, rtype: str) -> None:
-        if rtype != "shared_memory":
-            original(resource_name, rtype)
-
-    resource_tracker.register = _skip_shared_memory
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-def _new_segment(size: int) -> shared_memory.SharedMemory:
-    """Create a named, owner-stamped segment (collision-retried)."""
-    for _ in range(8):
-        name = "%s-%d-%s" % (SEGMENT_PREFIX, os.getpid(), secrets.token_hex(4))
-        try:
-            return shared_memory.SharedMemory(name=name, create=True, size=size)
-        except FileExistsError:
-            continue
-    raise RuntimeError("could not allocate a uniquely named shared segment")
-
-
-class SharedTraceBuffer:
-    """Owner side: copies a trace into shared memory, exactly once.
-
-    The parent keeps this object alive for the duration of the pool and
-    calls :meth:`close` (or uses it as a context manager) afterwards;
-    closing unlinks the block.  Cleanup is guaranteed on every exit
-    path short of SIGKILL: a failure while populating the block unlinks
-    it before re-raising, and an ``atexit`` hook unlinks any buffer
-    still open at interpreter shutdown.  SIGKILL leaves the segment
-    behind by definition — that is what :func:`reap_stale_segments`
-    (run at the start of every pool run) is for.
+    The parent keeps the buffer for the duration of the pool and closes
+    it (or uses it as a context manager) afterwards.
     """
 
-    def __init__(self, trace: Trace) -> None:
-        offsets = []
-        cursor = 0
-        for name in _COLUMNS:
-            column = getattr(trace, name)
-            align = column.dtype.itemsize
-            cursor = (cursor + align - 1) // align * align
-            offsets.append((name, column.dtype.str, cursor))
-            cursor += column.nbytes
-        # shared_memory rejects zero-length blocks; an empty trace
-        # still gets a one-byte allocation.
-        self._shm = _new_segment(max(cursor, 1))
-        self._closed = False
-        try:
-            for (name, dtype, offset) in offsets:
-                column = getattr(trace, name)
-                view = np.ndarray(
-                    column.shape, dtype=dtype, buffer=self._shm.buf, offset=offset
-                )
-                view[:] = column
-            self.spec = SharedTraceSpec(
-                shm_name=self._shm.name,
-                n_packets=len(trace),
-                columns=tuple(offsets),
-            )
-        except BaseException:
-            # The segment exists but the buffer was never handed to the
-            # caller: without this unlink it would outlive the raise.
-            self.close()
-            raise
-        atexit.register(self.close)
-
-    @property
-    def nbytes(self) -> int:
-        """Allocated size of the shared segment, for telemetry."""
-        return self._shm.size
+    spec: MemmapTraceSpec
+    #: Bytes of column data the workers map, for telemetry.
+    nbytes: int
 
     def close(self) -> None:
-        """Release and unlink the block (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        atexit.unregister(self.close)
-        self._shm.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:
-            pass
+        """Release whatever the buffer owns (idempotent)."""
 
-    def __enter__(self) -> "SharedTraceBuffer":
+    def __enter__(self) -> "TraceBuffer":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
 
-class MemmapTraceBuffer:
-    """Owner side of a file-backed trace: nothing to allocate or copy.
+class MemmapTraceBuffer(TraceBuffer):
+    """A trace whose columns are already files: nothing to copy.
 
-    Mirrors :class:`SharedTraceBuffer`'s interface (``spec``,
-    ``nbytes``, ``close``, context manager) so the runner treats both
-    transports uniformly; the backing files belong to the trace store,
-    so ``close`` is a no-op.
+    The backing files belong to the trace store, so ``close`` releases
+    nothing.
     """
 
     def __init__(self, spec: MemmapTraceSpec, nbytes: int) -> None:
         self.spec = spec
         self.nbytes = nbytes
 
+
+class SpilledTraceBuffer(TraceBuffer):
+    """An in-memory trace whose columns are written once to a temp dir.
+
+    Cleanup is guaranteed on every exit path short of SIGKILL: a failure
+    partway through the spill removes the dir before re-raising,
+    ``close`` removes it, and an ``atexit`` hook removes it if the
+    buffer is still open at interpreter shutdown.  A SIGKILLed owner
+    leaves the dir behind; :func:`reap_stale_dirs` removes it.
+    """
+
+    def __init__(self, trace: Trace) -> None:
+        self.path = owned_temp_dir("trace")
+        self._closed = False
+        try:
+            columns = []
+            for name, dtype in TRACE_COLUMNS:
+                path = os.path.join(self.path, name + ".bin")
+                getattr(trace, name).tofile(path)
+                columns.append((name, dtype.str, path, 0))
+        except BaseException:
+            self.close()
+            raise
+        self.spec = MemmapTraceSpec(n_packets=len(trace), columns=tuple(columns))
+        self.nbytes = _nbytes(trace)
+        atexit.register(self.close)
+
     def close(self) -> None:
-        """Nothing to release: the store owns the files."""
+        """Remove the spill dir (idempotent)."""
+        if self._closed:
+            return
+        self._closed = True
+        atexit.unregister(self.close)
+        shutil.rmtree(self.path, ignore_errors=True)
 
-    def __enter__(self) -> "MemmapTraceBuffer":
-        return self
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-TraceBuffer = Union["SharedTraceBuffer", MemmapTraceBuffer]
+def _nbytes(trace: Trace) -> int:
+    return sum(getattr(trace, name).nbytes for name, _ in TRACE_COLUMNS)
 
 
 def _column_mapping(column: np.ndarray) -> Optional[Tuple[str, int]]:
@@ -231,72 +148,56 @@ def _column_mapping(column: np.ndarray) -> Optional[Tuple[str, int]]:
     return os.fspath(base.filename), int(base.offset) + int(delta)
 
 
-def publish_trace(trace: Trace) -> Union[SharedTraceBuffer, MemmapTraceBuffer]:
-    """Publish ``trace`` for worker attachment, by the cheapest route.
+def publish_trace(trace: Trace) -> TraceBuffer:
+    """Publish ``trace`` for worker attachment, copying at most once.
 
     When every column is already backed by an on-disk memory map (a
-    warm :class:`~repro.trace.store.TraceStore` hit), workers can map
-    the same files and the publish step is free; otherwise the columns
-    are copied once into a shared-memory segment.
+    warm :class:`~repro.trace.store.TraceStore` hit), workers map the
+    same files and the publish step is free; otherwise the columns are
+    spilled to a private temp dir.
     """
     mapped = []
-    for name in _COLUMNS:
+    for name, _ in TRACE_COLUMNS:
         column = getattr(trace, name)
         backing = _column_mapping(column)
         if backing is None:
-            return SharedTraceBuffer(trace)
+            return SpilledTraceBuffer(trace)
         mapped.append((name, column.dtype.str, backing[0], backing[1]))
     spec = MemmapTraceSpec(n_packets=len(trace), columns=tuple(mapped))
-    nbytes = sum(getattr(trace, name).nbytes for name in _COLUMNS)
-    return MemmapTraceBuffer(spec, nbytes)
+    return MemmapTraceBuffer(spec, _nbytes(trace))
 
 
-def attach_trace(
-    spec: TraceSpec,
-) -> Tuple[Trace, Optional[shared_memory.SharedMemory]]:
-    """Worker side: rebuild a trace as views over the shared pages.
+def attach_trace(spec: MemmapTraceSpec) -> Trace:
+    """Worker side: rebuild the trace as read-only maps of its files.
 
-    Returns the trace **and** the attached segment (``None`` for the
-    memmap transport, whose mappings are owned by the column arrays
-    themselves); the caller must keep the segment referenced for as
-    long as the trace is in use (the arrays are views over its buffer)
-    and ``close()`` it when done.  The views are never written to —
-    :class:`Trace` is immutable by convention and samplers only read.
+    The maps stay valid for as long as the trace's arrays live, even if
+    the files are removed meanwhile, so there is nothing to close.  The
+    arrays are never written to — :class:`Trace` is immutable by
+    convention and samplers only read.
     """
     columns = {}
-    if isinstance(spec, MemmapTraceSpec):
-        for (name, dtype, path, offset) in spec.columns:
-            if spec.n_packets:
-                columns[name] = np.memmap(
-                    path,
-                    dtype=dtype,
-                    mode="r",
-                    offset=offset,
-                    shape=(spec.n_packets,),
-                )
-            else:
-                columns[name] = np.empty(0, dtype=dtype)
-        shm: Optional[shared_memory.SharedMemory] = None
-    else:
-        shm = _attach_untracked(spec.shm_name)
-        for (name, dtype, offset) in spec.columns:
-            columns[name] = np.ndarray(
-                (spec.n_packets,), dtype=dtype, buffer=shm.buf, offset=offset
+    for (name, dtype, path, offset) in spec.columns:
+        if spec.n_packets:
+            columns[name] = np.memmap(
+                path, dtype=dtype, mode="r", offset=offset, shape=(spec.n_packets,)
             )
-    trace = Trace(
-        timestamps_us=columns["timestamps_us"],
-        sizes=columns["sizes"],
-        protocols=columns["protocols"],
-        src_nets=columns["src_nets"],
-        dst_nets=columns["dst_nets"],
-        src_ports=columns["src_ports"],
-        dst_ports=columns["dst_ports"],
-    )
-    return trace, shm
+        else:
+            columns[name] = np.empty(0, dtype=dtype)  # mmap rejects 0 bytes
+    return Trace(**columns)
 
 
 # ----------------------------------------------------------------------
-# reaping
+# temp dirs and reaping
+
+def owned_temp_dir(kind: str) -> str:
+    """A new private temp dir stamped with this process's pid.
+
+    ``kind`` is ``"trace"`` (a column spill) or ``"crumbs"`` (the
+    runner's breadcrumbs); the pid in the name is what lets
+    :func:`reap_stale_dirs` tell a live run's dir from a leaked one.
+    """
+    return tempfile.mkdtemp(prefix="repro-%s-%d-" % (kind, os.getpid()))
+
 
 def _pid_alive(pid: int) -> bool:
     try:
@@ -305,42 +206,37 @@ def _pid_alive(pid: int) -> bool:
         return False
     except PermissionError:
         return True  # exists, owned by someone else
+    except OverflowError:
+        return True  # no such pid can exist: not ours to reap
     return True
 
 
-def reap_stale_segments(shm_dir: str = "/dev/shm") -> List[str]:
-    """Unlink trace segments whose owning process is dead.
+def reap_stale_dirs() -> List[str]:
+    """Remove engine temp dirs whose owning process is dead.
 
     A parent killed with SIGKILL (or OOM-killed) cannot run its own
-    cleanup, so its segment survives in ``/dev/shm`` and quietly eats
-    memory until reboot.  Every segment this module creates carries its
-    owner's pid in the name; this scan unlinks the ones whose owner no
-    longer exists.  Segments belonging to live processes — including
-    this one — are never touched.  Returns the reaped segment names.
-
-    No-op on platforms without a scannable ``/dev/shm``.
+    cleanup, so its spill dir and breadcrumb dir survive in the temp
+    root.  Every dir :func:`owned_temp_dir` makes carries its owner's
+    pid in the name; this scan of :func:`tempfile.gettempdir` removes
+    the ones whose owner no longer exists.  Dirs of live processes —
+    this one included — and every other name are never touched.
+    Returns the reaped names.
     """
-    if not os.path.isdir(shm_dir):
+    root = tempfile.gettempdir()
+    try:
+        names = sorted(os.listdir(root))
+    except OSError:
         return []
     reaped = []
-    for fname in sorted(os.listdir(shm_dir)):
-        if not fname.startswith(SEGMENT_PREFIX + "-"):
+    for name in names:
+        match = _OWNED_DIR.match(name)
+        if match is None:
             continue
-        parts = fname.split("-")
-        try:
-            pid = int(parts[2])
-        except (IndexError, ValueError):
+        pid = int(match.group(2))
+        path = os.path.join(root, name)
+        if pid == os.getpid() or _pid_alive(pid) or not os.path.isdir(path):
             continue
-        if pid == os.getpid() or _pid_alive(pid):
-            continue
-        try:
-            segment = _attach_untracked(fname)
-        except FileNotFoundError:
-            continue  # raced another reaper
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-        reaped.append(fname)
+        shutil.rmtree(path, ignore_errors=True)
+        if not os.path.exists(path):
+            reaped.append(name)
     return reaped

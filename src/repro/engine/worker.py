@@ -4,8 +4,8 @@ Bit-identical parallelism is not an optimization property here, it is a
 correctness contract, and the cheapest way to honor it is to have
 exactly one implementation of "run a shard": the serial runner calls
 :func:`execute_shard` inline; pool workers call it through the
-module-level task function after attaching the shared trace.  There is
-no second "fast path" to drift.
+module-level task function after mapping the published trace's column
+files.  There is no second "fast path" to drift.
 
 Per-process caching: window extraction, population proportions, and
 attribute arrays are O(population) per (interval, target) pair and are
@@ -25,7 +25,8 @@ common to both paths:
   or misrouted result is a retryable failure, never a silent merge;
 * pool workers drop a breadcrumb file naming the shard they are
   executing, so when a worker dies abruptly the parent knows which
-  shard to blame instead of penalizing everything in flight.
+  shard to blame instead of penalizing everything in flight (a worker
+  the pool teardown itself SIGTERMed is never blamed).
 """
 
 import hashlib
@@ -49,7 +50,7 @@ from repro.engine.faults import (
     ShardTimeoutError,
 )
 from repro.engine.planner import Shard, shard_rng
-from repro.engine.sharedtrace import TraceSpec, attach_trace
+from repro.engine.sharedtrace import MemmapTraceSpec, attach_trace
 from repro.trace.filters import prefix_interval
 from repro.trace.trace import Trace
 
@@ -310,27 +311,23 @@ def execute_shard_with_faults(
 #: global is the only channel a ProcessPoolExecutor task can reach
 #: per-process state through.
 _WORKER_CONTEXT: Optional[ShardContext] = None
-_WORKER_SHM = None
 _WORKER_FAULTS: Optional[FaultPlan] = None
 _WORKER_CRUMB_DIR: Optional[str] = None
 
 
 def init_worker(
-    spec: TraceSpec,
+    spec: MemmapTraceSpec,
     grid: ExperimentGrid,
     fault_plan: Optional[FaultPlan] = None,
     crumb_dir: Optional[str] = None,
 ) -> None:
-    """Pool initializer: attach the shared trace, build the context.
+    """Pool initializer: map the published trace, build the context.
 
-    Runs once per worker process.  The attached segment (``None`` for
-    the memmap transport) is kept in a module global so the trace's
-    column views stay backed for the worker's lifetime.
+    Runs once per worker process; the column maps live as long as the
+    context's trace does.
     """
-    global _WORKER_CONTEXT, _WORKER_SHM, _WORKER_FAULTS, _WORKER_CRUMB_DIR
-    trace, shm = attach_trace(spec)
-    _WORKER_SHM = shm
-    _WORKER_CONTEXT = ShardContext(trace, grid)
+    global _WORKER_CONTEXT, _WORKER_FAULTS, _WORKER_CRUMB_DIR
+    _WORKER_CONTEXT = ShardContext(attach_trace(spec), grid)
     _WORKER_FAULTS = fault_plan
     _WORKER_CRUMB_DIR = crumb_dir
 
@@ -354,8 +351,10 @@ def run_shard_task(
 
     The breadcrumb written before execution names the shard this
     worker is holding; it is removed on any normal exit (including
-    exceptions) but survives ``os._exit``/SIGKILL, which is how the
-    parent attributes a dead worker to the shard that killed it.
+    exceptions) but survives ``os._exit`` and any signal, which is how
+    the parent attributes a dead worker to the shard that killed it.
+    The parent charges it only when the worker did not exit by the
+    SIGTERM of the pool teardown, which kills innocent siblings too.
     """
     if _WORKER_CONTEXT is None:
         raise RuntimeError("worker used before init_worker ran")

@@ -12,7 +12,8 @@ primitives are all safe to leave compiled into the hot path:
   into the run's event log;
 * **counters** — monotonically increasing totals (shards completed,
   packets sampled, alerts raised);
-* **gauges** — last-or-high-water values (shared-memory bytes, peak
+* **gauges** — last-or-high-water values (the bytes of the trace a
+  pool maps, kept under its old name ``shared_memory_bytes``, peak
   worker RSS, the latest window's φ);
 * **histograms** — fixed-edge cumulative bin counts
   (:class:`~repro.stats.streams.RunningHistogram`), the live monitor's

@@ -30,7 +30,7 @@ import numpy as np
 from repro.obs.instrument import NULL_OBS
 from repro.trace.packet import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP
 from repro.trace.store import FastpathUnsupported, encode_trace, iter_decoded_columns
-from repro.trace.trace import Trace
+from repro.trace.trace import TRACE_COLUMNS, Trace
 
 #: Classic libpcap magic for microsecond-resolution timestamps.
 PCAP_MAGIC = 0xA1B2C3D4
@@ -273,23 +273,11 @@ _ColumnTuple = Tuple[
     np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
 ]
 
-_COLUMN_NAMES = (
-    "timestamps_us",
-    "sizes",
-    "protocols",
-    "src_nets",
-    "dst_nets",
-    "src_ports",
-    "dst_ports",
-)
-_RECORD_DTYPES = (np.int64, np.int32, np.uint8, np.uint16, np.uint16, np.uint16, np.uint16)
-
-
 def _columns_from_records(records: List[_Record]) -> _ColumnTuple:
     fields = tuple(zip(*records))
     return tuple(  # type: ignore[return-value]
         np.asarray(field, dtype=dtype)
-        for field, dtype in zip(fields, _RECORD_DTYPES)
+        for field, (_, dtype) in zip(fields, TRACE_COLUMNS)
     )
 
 
@@ -334,7 +322,7 @@ class _ChunkBuilder:
         else:
             merged = tuple(  # type: ignore[assignment]
                 np.concatenate([part[i] for part in self._parts])
-                for i in range(len(_COLUMN_NAMES))
+                for i in range(len(TRACE_COLUMNS))
             )
         head = tuple(np.ascontiguousarray(column[:count]) for column in merged)
         if count < self._buffered:
@@ -344,7 +332,7 @@ class _ChunkBuilder:
         self._buffered -= count
         timestamps = head[0]
         try:
-            chunk = Trace(**dict(zip(_COLUMN_NAMES, head)))
+            chunk = Trace(**dict(zip(Trace.__slots__, head)))
         except ValueError:
             backwards = np.flatnonzero(np.diff(timestamps) < 0)
             if not backwards.size:

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.obs.instrument import NULL_OBS
 from repro.trace.packet import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP
-from repro.trace.trace import Trace
+from repro.trace.trace import TRACE_COLUMNS, Trace
 
 __all__ = [
     "DEFAULT_BLOCK_BYTES",
@@ -75,16 +75,11 @@ _ColumnTuple = Tuple[
 ]
 
 #: Trace columns in storage order with their on-disk (explicitly
-#: little-endian) dtypes.  These match ``Trace``'s in-memory dtypes on
-#: every supported platform.
-_STORE_COLUMNS: Tuple[Tuple[str, str], ...] = (
-    ("timestamps_us", "<i8"),
-    ("sizes", "<i4"),
-    ("protocols", "|u1"),
-    ("src_nets", "<u2"),
-    ("dst_nets", "<u2"),
-    ("src_ports", "<u2"),
-    ("dst_ports", "<u2"),
+#: little-endian) dtype strings: ``<i8``, ``<i4``, ``|u1``, ``<u2``.
+#: These match ``Trace``'s in-memory dtypes on every supported
+#: platform, and every cache manifest records them.
+_STORE_COLUMNS: Tuple[Tuple[str, str], ...] = tuple(
+    (name, dtype.newbyteorder("<").str) for name, dtype in TRACE_COLUMNS
 )
 
 _MANIFEST_NAME = "manifest.json"

@@ -10,23 +10,27 @@ Traces are immutable by convention: all transforming operations
 sharing or copying the underlying arrays; nothing mutates in place.
 """
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.trace.packet import IPPROTO_TCP, PacketRecord
 
-#: dtypes for each column, chosen to keep the 1.6 M packet population
-#: compact (~20 MB total).
-_COLUMN_DTYPES = {
-    "timestamps_us": np.int64,
-    "sizes": np.int32,
-    "protocols": np.uint8,
-    "src_nets": np.uint16,
-    "dst_nets": np.uint16,
-    "src_ports": np.uint16,
-    "dst_ports": np.uint16,
-}
+#: The trace's columns in storage order, with their dtypes, chosen to
+#: keep the 1.6 M packet population compact (~20 MB total).  Every
+#: columnar copy of a trace (the pcap decoder's batches, the trace
+#: store's files, the engine's worker transport) takes its layout from
+#: this one list.
+TRACE_COLUMNS: Tuple[Tuple[str, np.dtype], ...] = (
+    ("timestamps_us", np.dtype(np.int64)),
+    ("sizes", np.dtype(np.int32)),
+    ("protocols", np.dtype(np.uint8)),
+    ("src_nets", np.dtype(np.uint16)),
+    ("dst_nets", np.dtype(np.uint16)),
+    ("src_ports", np.dtype(np.uint16)),
+    ("dst_ports", np.dtype(np.uint16)),
+)
+_COLUMN_DTYPES = dict(TRACE_COLUMNS)
 
 
 class Trace:
@@ -45,15 +49,7 @@ class Trace:
         interarrival characterization targets.
     """
 
-    __slots__ = (
-        "timestamps_us",
-        "sizes",
-        "protocols",
-        "src_nets",
-        "dst_nets",
-        "src_ports",
-        "dst_ports",
-    )
+    __slots__ = tuple(name for name, _ in TRACE_COLUMNS)
 
     def __init__(
         self,
@@ -65,8 +61,8 @@ class Trace:
         src_ports: Optional[Sequence[int]] = None,
         dst_ports: Optional[Sequence[int]] = None,
     ) -> None:
-        timestamps = np.asarray(timestamps_us, dtype=np.int64)
-        sizes_arr = np.asarray(sizes, dtype=np.int32)
+        timestamps = np.asarray(timestamps_us, dtype=_COLUMN_DTYPES["timestamps_us"])
+        sizes_arr = np.asarray(sizes, dtype=_COLUMN_DTYPES["sizes"])
         if timestamps.ndim != 1 or sizes_arr.ndim != 1:
             raise ValueError("trace columns must be one-dimensional")
         if len(timestamps) != len(sizes_arr):
@@ -89,7 +85,7 @@ class Trace:
     def _column(
         values: Optional[Sequence[int]], n: int, name: str, default: int
     ) -> np.ndarray:
-        dtype = _COLUMN_DTYPES[name if name != "protocols" else "protocols"]
+        dtype = _COLUMN_DTYPES[name]
         if values is None:
             return np.full(n, default, dtype=dtype)
         arr = np.asarray(values, dtype=dtype)

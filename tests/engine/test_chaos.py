@@ -2,14 +2,15 @@
 
 These runs really kill worker processes, really hang shards past the
 deadline, and really rebuild pools — then assert the merged result is
-bit-identical to a fault-free serial sweep and that no shared-memory
-segment outlives the run.  They are the slowest tests in the suite and
-carry the ``chaos`` marker so CI can run them as a dedicated job.
+bit-identical to a fault-free serial sweep and that none of the
+engine's temp dirs (the trace spill, the breadcrumbs) outlives the run.
+They are the slowest tests in the suite and carry the ``chaos`` marker
+so CI can run them as a dedicated job.
 """
 
-import glob
 import json
 import os
+import tempfile
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.engine.checkpoint import record_to_json
 from repro.engine.faults import Fault, FaultPlan
 from repro.engine.planner import GridPlanner
 from repro.engine.runner import ParallelRunner, QuarantinedShards
-from repro.engine.sharedtrace import SEGMENT_PREFIX
+from repro.workload.generator import nsfnet_hour_trace
 
 pytestmark = pytest.mark.chaos
 
@@ -27,10 +28,19 @@ def canonical(result):
     return [record_to_json(r) for r in result.records]
 
 
-def shm_segments():
-    if not os.path.isdir("/dev/shm"):
-        return set()
-    return set(glob.glob("/dev/shm/%s-*" % SEGMENT_PREFIX))
+def leaked_dirs():
+    """Engine temp dirs this process still owns in the temp root.
+
+    The runner stamps its dirs with its pid, so other processes' dirs
+    never count; CI points ``TMPDIR`` at a fresh directory and also
+    fails if any ``repro-*`` entry is left there after the suite.
+    """
+    stamp = "-%d-" % os.getpid()
+    return [
+        name
+        for name in os.listdir(tempfile.gettempdir())
+        if name.startswith("repro-") and stamp in name
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +78,6 @@ def test_chaos_run_is_bit_identical_to_fault_free_serial(
     )
     run_dir = os.environ.get("CHAOS_RUN_DIR") or str(tmp_path / "chaos-run")
 
-    before = shm_segments()
     runner = ParallelRunner(
         jobs=2,
         run_dir=run_dir,
@@ -79,14 +88,15 @@ def test_chaos_run_is_bit_identical_to_fault_free_serial(
     result = runner.run(grid, minute_trace)
 
     assert canonical(result) == canonical(serial_result)
-    assert shm_segments() == before
+    assert leaked_dirs() == []
 
     manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
     assert manifest["quarantined"] == []
     # Crashes arriving close together can coalesce into one collapse,
-    # and the hang shard may be blamed in a crash kill before its own
-    # deadline fires — but every disrupted shard is charged exactly one
-    # failed attempt, and at least one rebuild must have happened.
+    # and a crash kill may requeue the hang shard (free: its worker
+    # exits by the teardown's SIGTERM) before its own deadline fires —
+    # but every disrupted shard is charged exactly one failed attempt,
+    # and at least one rebuild must have happened.
     assert manifest["pool_rebuilds"] >= 1
     assert manifest["retries"] >= 5
     assert manifest["degraded_to_serial"] is False
@@ -124,7 +134,7 @@ def test_pool_poison_shard_is_quarantined_not_fatal(
     assert canonical(result) == expected
     manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
     assert manifest["quarantined"] == [poison.key]
-    assert shm_segments() == set() or poison.key not in shm_segments()
+    assert leaked_dirs() == []
 
 
 def test_repeated_collapse_degrades_to_serial_and_finishes(
@@ -136,7 +146,6 @@ def test_repeated_collapse_degrades_to_serial_and_finishes(
     poison = shards[7]
     plan = FaultPlan().inject(poison.key, Fault("crash"), attempts=None)
 
-    before = shm_segments()
     runner = ParallelRunner(
         jobs=2,
         max_attempts=3,
@@ -161,4 +170,40 @@ def test_repeated_collapse_degrades_to_serial_and_finishes(
         )
     ]
     assert canonical(result) == expected
-    assert shm_segments() == before
+    assert leaked_dirs() == []
+
+
+def test_crash_does_not_charge_the_siblings_it_takes_down():
+    """A worker crash breaks the pool, and CPython's teardown SIGTERMs
+    the surviving workers mid-shard.  Their breadcrumbs survive that
+    kill, but only the crashing shard may be charged: a slowed sibling
+    requeues free, so at ``max_attempts=1`` it is not quarantined."""
+    trace = nsfnet_hour_trace(seed=3, duration_s=60)
+    grid = ExperimentGrid(
+        methods=("systematic",), granularities=(2, 4, 8, 16), replications=2, seed=1
+    )
+    sibling, crasher = "full/systematic/g2/r0", "full/systematic/g4/r1"
+    plan = (
+        FaultPlan()
+        .inject(sibling, Fault("slow", delay_s=1.5))
+        .inject(crasher, Fault("crash"))
+    )
+    runner = ParallelRunner(
+        jobs=2, max_attempts=1, retry_backoff_s=0.01, fault_plan=plan
+    )
+    with pytest.warns(QuarantinedShards, match=crasher):
+        result = runner.run(grid, trace)
+
+    assert runner.quarantined.keys() == {crasher}
+    expected = [
+        record_to_json(r)
+        for r in grid.run(trace).records
+        if (r.granularity, r.replication) != (4, 1)
+    ]
+    assert canonical(result) == expected
+    summary = runner.last_telemetry.summary()
+    charged = [
+        e["shard"] for e in summary["events"] if e["kind"] in ("retry", "quarantine")
+    ]
+    assert sibling not in charged
+    assert leaked_dirs() == []

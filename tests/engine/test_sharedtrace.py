@@ -1,67 +1,109 @@
-"""Shared-memory trace transport: fidelity and cleanup."""
+"""Trace transport: fidelity of both routes, and cleanup of the spill."""
 
-import glob
 import os
+import pickle
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
 from repro.engine.sharedtrace import (
-    SEGMENT_PREFIX,
     MemmapTraceBuffer,
-    SharedTraceBuffer,
+    SpilledTraceBuffer,
     attach_trace,
+    owned_temp_dir,
     publish_trace,
-    reap_stale_segments,
+    reap_stale_dirs,
 )
-from repro.trace.trace import Trace
-
-needs_dev_shm = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="no scannable /dev/shm"
-)
+from repro.trace.trace import TRACE_COLUMNS, Trace
 
 
-def shm_segments():
-    return set(glob.glob("/dev/shm/%s-*" % SEGMENT_PREFIX))
+@pytest.fixture()
+def temp_root(tmp_path, monkeypatch):
+    """A fresh temp root for the engine's dirs, steered through TMPDIR."""
+    root = tmp_path / "tmp"
+    root.mkdir()
+    monkeypatch.setenv("TMPDIR", str(root))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # drop the cached root
+    assert tempfile.gettempdir() == str(root)
+    return root
+
+
+def engine_dirs(root):
+    return sorted(name for name in os.listdir(root) if name.startswith("repro-"))
+
+
+def run_python(script, root):
+    """Run ``script`` in a fresh interpreter whose temp root is ``root``;
+    returns its stripped stdout."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, TMPDIR=str(root))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    return done.stdout.strip()
+
+
+def dead_pid(root):
+    """The pid of a process that has already exited."""
+    return int(run_python("import os; print(os.getpid())", root))
 
 
 class TestRoundtrip:
-    def test_all_columns_preserved(self, tiny_trace):
-        with SharedTraceBuffer(tiny_trace) as buffer:
-            trace, shm = attach_trace(buffer.spec)
-            try:
-                assert trace == tiny_trace
-            finally:
-                del trace  # views over shm.buf must die before close
-                shm.close()
+    """An in-memory trace is spilled, and workers map it back intact."""
 
-    def test_synthetic_trace(self, minute_trace):
-        subset = minute_trace.slice_packets(0, 5000)
-        with SharedTraceBuffer(subset) as buffer:
-            trace, shm = attach_trace(buffer.spec)
-            try:
-                assert trace == subset
-                assert trace.duration_us == subset.duration_us
-            finally:
-                del trace
-                shm.close()
+    def roundtrip(self, trace):
+        with publish_trace(trace) as buffer:
+            assert isinstance(buffer, SpilledTraceBuffer)
+            assert not isinstance(buffer, MemmapTraceBuffer)
+            attached = attach_trace(pickle.loads(pickle.dumps(buffer.spec)))
+            assert attached == trace
+            assert attached.duration_us == trace.duration_us
+            assert buffer.nbytes == sum(
+                getattr(trace, name).nbytes for name, _ in TRACE_COLUMNS
+            )
+            return attached
 
-    def test_empty_trace(self):
-        with SharedTraceBuffer(Trace.empty()) as buffer:
-            trace, shm = attach_trace(buffer.spec)
-            try:
-                assert len(trace) == 0
-            finally:
-                del trace
-                shm.close()
+    def test_all_columns_preserved(self, tiny_trace, temp_root):
+        self.roundtrip(tiny_trace)
 
-    def test_spec_is_plain_data(self, tiny_trace):
-        import pickle
+    def test_minute_trace(self, minute_trace, temp_root):
+        self.roundtrip(minute_trace)
 
-        with SharedTraceBuffer(tiny_trace) as buffer:
+    def test_synthetic_trace(self, minute_trace, temp_root):
+        self.roundtrip(minute_trace.slice_packets(1000, 6000))
+
+    def test_empty_trace(self, temp_root):
+        assert len(self.roundtrip(Trace.empty())) == 0
+
+    def test_spec_is_plain_data(self, tiny_trace, temp_root):
+        with publish_trace(tiny_trace) as buffer:
             clone = pickle.loads(pickle.dumps(buffer.spec))
             assert clone == buffer.spec
+
+    def test_maps_outlive_the_dir(self, minute_trace, temp_root):
+        # A worker's maps stay valid after the owner removes the files.
+        attached = self.roundtrip(minute_trace)
+        assert engine_dirs(temp_root) == []
+        assert attached == minute_trace
+
+    def test_spill_dir_is_private_and_owned(self, tiny_trace, temp_root):
+        with publish_trace(tiny_trace) as buffer:
+            assert os.path.dirname(buffer.path) == str(temp_root)
+            assert os.path.basename(buffer.path).startswith(
+                "repro-trace-%d-" % os.getpid()
+            )
+            assert sorted(os.listdir(buffer.path)) == sorted(
+                name + ".bin" for name, _ in TRACE_COLUMNS
+            )
 
 
 class TestMemmapTransport:
@@ -78,43 +120,31 @@ class TestMemmapTransport:
         store = TraceStore(str(tmp_path / "cache"))
         return store.build(path), subset
 
-    def test_store_trace_publishes_as_memmap(self, store_backed):
+    def test_store_trace_publishes_as_memmap(self, store_backed, temp_root):
         trace, subset = store_backed
         buffer = publish_trace(trace)
         assert isinstance(buffer, MemmapTraceBuffer)
         assert buffer.nbytes == sum(
-            getattr(trace, name).nbytes
-            for name in ("timestamps_us", "sizes", "protocols", "src_nets",
-                         "dst_nets", "src_ports", "dst_ports")
+            getattr(trace, name).nbytes for name, _ in TRACE_COLUMNS
         )
+        assert engine_dirs(temp_root) == []  # nothing spilled
 
     def test_attach_reconstructs_identically(self, store_backed):
         trace, subset = store_backed
         with publish_trace(trace) as buffer:
-            attached, shm = attach_trace(buffer.spec)
-            assert shm is None  # nothing to close on the memmap path
-            assert attached == subset
+            assert attach_trace(buffer.spec) == subset
 
     def test_spec_is_plain_data(self, store_backed):
-        import pickle
-
         trace, _ = store_backed
         buffer = publish_trace(trace)
         clone = pickle.loads(pickle.dumps(buffer.spec))
         assert clone == buffer.spec
 
-    def test_plain_trace_falls_back_to_shared_memory(self, tiny_trace):
-        buffer = publish_trace(tiny_trace)
-        assert isinstance(buffer, SharedTraceBuffer)
-        try:
-            trace, shm = attach_trace(buffer.spec)
-            try:
-                assert trace == tiny_trace
-            finally:
-                del trace
-                shm.close()
-        finally:
-            buffer.close()
+    def test_plain_trace_is_spilled(self, tiny_trace, temp_root):
+        with publish_trace(tiny_trace) as buffer:
+            assert isinstance(buffer, SpilledTraceBuffer)
+            assert attach_trace(buffer.spec) == tiny_trace
+        assert engine_dirs(temp_root) == []
 
     def test_close_is_a_noop(self, store_backed):
         # The store owns the files; closing the buffer must not unmap
@@ -123,42 +153,56 @@ class TestMemmapTransport:
         buffer = publish_trace(trace)
         buffer.close()
         buffer.close()
-        attached, _ = attach_trace(buffer.spec)
-        assert attached == subset
+        assert attach_trace(buffer.spec) == subset
 
 
 class TestLifecycle:
-    def test_close_unlinks(self, tiny_trace):
-        buffer = SharedTraceBuffer(tiny_trace)
-        spec = buffer.spec
+    def test_close_unlinks(self, tiny_trace, temp_root):
+        buffer = publish_trace(tiny_trace)
+        assert os.path.isdir(buffer.path)
         buffer.close()
+        assert not os.path.exists(buffer.path)
+        assert engine_dirs(temp_root) == []
         with pytest.raises(FileNotFoundError):
-            attach_trace(spec)
+            attach_trace(buffer.spec)
 
-    def test_close_idempotent(self, tiny_trace):
-        buffer = SharedTraceBuffer(tiny_trace)
+    def test_close_idempotent(self, tiny_trace, temp_root):
+        buffer = publish_trace(tiny_trace)
         buffer.close()
         buffer.close()  # must not raise
+        assert engine_dirs(temp_root) == []
 
-    @needs_dev_shm
-    def test_init_failure_unlinks_the_segment(self, tiny_trace, monkeypatch):
-        """Regression: a failure after the segment was created but
-        before the buffer was handed back used to leak the segment."""
-        import repro.engine.sharedtrace as sharedtrace
+    def test_init_failure_removes_the_spill(self, tiny_trace, temp_root):
+        """A column that cannot be written after others were must not
+        leave the half-written spill behind."""
 
-        def explode(**kwargs):
-            raise RuntimeError("spec construction failed")
+        class DiskFull:
+            def tofile(self, path):
+                raise OSError("no space left on device")
 
-        monkeypatch.setattr(sharedtrace, "SharedTraceSpec", explode)
-        before = shm_segments()
-        with pytest.raises(RuntimeError, match="spec construction"):
-            SharedTraceBuffer(tiny_trace)
-        assert shm_segments() == before
+        broken = tiny_trace.slice_packets(0, len(tiny_trace))
+        broken.src_ports = DiskFull()
+        with pytest.raises(OSError, match="no space left"):
+            SpilledTraceBuffer(broken)
+        assert engine_dirs(temp_root) == []
 
-    @needs_dev_shm
-    def test_runner_startup_failure_unlinks(self, minute_trace, monkeypatch):
-        """If the pool cannot even be constructed, the already-published
-        trace segment must not outlive the raised error."""
+    def test_interpreter_exit_removes_the_dir(self, temp_root):
+        name = run_python(
+            "import os\n"
+            "from repro.engine.sharedtrace import publish_trace\n"
+            "from repro.trace.trace import Trace\n"
+            "buffer = publish_trace(Trace(timestamps_us=[0, 5], sizes=[40, 1500]))\n"
+            "print(os.path.basename(buffer.path))\n",
+            temp_root,
+        )
+        assert name.startswith("repro-trace-")
+        assert engine_dirs(temp_root) == []
+
+    def test_runner_startup_failure_unlinks(
+        self, minute_trace, temp_root, monkeypatch
+    ):
+        """If the pool cannot even be constructed, neither the spill of
+        the trace nor the breadcrumb dir may outlive the raised error."""
         import repro.engine.runner as runner_module
         from repro.core.evaluation.experiment import ExperimentGrid
         from repro.engine.runner import ParallelRunner
@@ -168,48 +212,55 @@ class TestLifecycle:
 
         monkeypatch.setattr(runner_module, "ProcessPoolExecutor", no_pool)
         grid = ExperimentGrid(granularities=(32,), replications=1, seed=2)
-        before = shm_segments()
         with pytest.raises(OSError, match="fork refused"):
             ParallelRunner(jobs=2).run(grid, minute_trace)
-        assert shm_segments() == before
+        assert engine_dirs(temp_root) == []
 
 
-@needs_dev_shm
 class TestReaper:
-    def test_dead_owner_segment_is_reaped(self, tmp_path):
+    def test_dead_owner_dirs_are_reaped(self, temp_root):
         """A SIGKILLed parent cannot clean up after itself; the next
-        run's reaper must."""
-        script = (
+        run's reaper removes its spill and its breadcrumb dir."""
+        names = run_python(
             "import os\n"
-            "from multiprocessing import shared_memory, resource_tracker\n"
-            # The tracker must not adopt the segment, or it would unlink
-            # it at exit and there would be no leak to reap.
-            "resource_tracker.register = lambda *a, **k: None\n"
-            "name = '%s-%%d-feedbeef' %% os.getpid()\n"
-            "seg = shared_memory.SharedMemory(name=name, create=True, size=64)\n"
-            "seg.close()\n"
-            "print(name)\n"
-        ) % SEGMENT_PREFIX
-        name = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-        assert os.path.exists("/dev/shm/%s" % name)  # leaked, owner dead
+            "from repro.engine.sharedtrace import owned_temp_dir, publish_trace\n"
+            "from repro.trace.trace import Trace\n"
+            "buffer = publish_trace(Trace(timestamps_us=[0, 5], sizes=[40, 1500]))\n"
+            "crumbs = owned_temp_dir('crumbs')\n"
+            "print(os.path.basename(buffer.path), os.path.basename(crumbs), flush=True)\n"
+            "os._exit(0)  # no atexit hooks, as after a SIGKILL\n",
+            temp_root,
+        ).split()
+        assert engine_dirs(temp_root) == sorted(names)  # leaked, owner dead
 
-        reaped = reap_stale_segments()
-        assert name in reaped
-        assert not os.path.exists("/dev/shm/%s" % name)
+        assert sorted(reap_stale_dirs()) == sorted(names)
+        assert engine_dirs(temp_root) == []
 
-    def test_live_owner_segment_is_spared(self, tiny_trace):
-        with SharedTraceBuffer(tiny_trace) as buffer:
-            assert reap_stale_segments() == []
-            trace, shm = attach_trace(buffer.spec)  # still attachable
-            del trace
-            shm.close()
+    def test_live_owner_dirs_are_spared(self, tiny_trace, temp_root):
+        foreign = temp_root / ("repro-trace-%d-live" % os.getppid())
+        foreign.mkdir()
+        with publish_trace(tiny_trace) as buffer:
+            crumbs = owned_temp_dir("crumbs")
+            assert reap_stale_dirs() == []
+            assert attach_trace(buffer.spec) == tiny_trace  # still mapped
+            assert os.path.isdir(crumbs) and foreign.is_dir()
+            os.rmdir(crumbs)
 
-    def test_foreign_names_ignored(self, tmp_path):
-        # Nothing matching the prefix -> nothing scanned or unlinked.
-        assert reap_stale_segments(shm_dir=str(tmp_path)) == []
-        assert reap_stale_segments(shm_dir=str(tmp_path / "missing")) == []
+    def test_foreign_names_ignored(self, temp_root):
+        pid = dead_pid(temp_root)
+        spared = [
+            "repro-trace-x%d-a" % pid,      # no pid
+            "repro-other-%d-a" % pid,       # not an engine kind
+            "scratch-trace-%d-a" % pid,     # not ours
+            "repro-engine-a",               # an old unstamped crumb dir
+            "repro-trace-%d-a" % 2**70,     # a pid no process can have
+        ]
+        for name in spared:
+            (temp_root / name).mkdir()
+        (temp_root / ("repro-trace-%d-file" % pid)).write_text("")  # not a dir
+        assert reap_stale_dirs() == []
+        assert len(os.listdir(temp_root)) == len(spared) + 1
+
+    def test_missing_temp_root_is_a_noop(self, temp_root):
+        os.rmdir(temp_root)
+        assert reap_stale_dirs() == []
