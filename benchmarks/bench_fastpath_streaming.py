@@ -38,7 +38,6 @@ from repro.core.sampling.streaming import (
 )
 from repro.core.sampling.timer import mean_interarrival_us
 from repro.fastpath import (
-    FlowAccountantKernel,
     chunk_kernel_for,
     iter_trace_chunks,
     run_monitor,
@@ -104,7 +103,7 @@ def test_fastpath_streaming(hour_trace, emit):
             chunk_kernel_for(sampler),
             monitor,
             on_window=windows.append,
-            accountant=FlowAccountantKernel(accountant),
+            accountant=accountant,
         )
         final = monitor.flush()
         if final is not None:

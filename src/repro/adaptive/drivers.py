@@ -28,7 +28,10 @@ path feeds it (:mod:`repro.core.sampling.streaming`):
   the pending scheduled firing stands, so the firing grid bends
   without a discontinuity.
 
-Because the chunked path splits chunks at window boundaries and
+The chunked path asks the monitor to cut each chunk:
+:meth:`~repro.obs.live.QualityMonitor.observe_chunk` closes the due
+windows through the same ``advance_to`` tap before each window's
+piece and only then calls back for the piece's ``keep_mask``.  Because
 ``keep_mask`` is exact within a window, the decision log and the
 keep/skip stream are bit-identical between ``fastpath`` on and off,
 under any chunking — pinned by ``tests/adaptive``.
@@ -43,7 +46,6 @@ from repro.adaptive.controller import AdaptiveController, Decision
 from repro.core.sampling.factory import make_selector
 from repro.core.sampling.timer import mean_interarrival_us
 from repro.core.metrics.phi import phi_coefficient
-from repro.fastpath.monitor import observe_chunk
 from repro.obs.live.monitor import QualityMonitor, WindowStats
 from repro.trace.trace import Trace
 
@@ -158,28 +160,22 @@ class AdaptivePipeline:
     # chunked fast path
 
     def process_chunk(self, chunk: Trace) -> int:
-        """Fold one chunk, splitting it at quality-window boundaries."""
-        n = len(chunk)
-        if n == 0:
-            return 0
+        """Fold one chunk; each window's piece is decided at its rate.
+
+        The monitor cuts the chunk at window boundaries and closes the
+        due windows before each piece, so the controller's decisions
+        re-key the selector before the piece's ``keep_mask``.
+        """
         arrivals = np.asarray(chunk.timestamps_us, dtype=np.int64)
-        sizes = chunk.sizes.astype(np.float64, copy=False)
-        anchor = self.monitor._window_start
-        if anchor is None:
-            anchor = int(arrivals[0])
-        window_index = (arrivals - anchor) // self.monitor.window_us
-        boundaries = np.flatnonzero(np.diff(window_index)) + 1
-        segment_starts = np.concatenate(([0], boundaries, [n]))
-        for s in range(segment_starts.size - 1):
-            lo = int(segment_starts[s])
-            hi = int(segment_starts[s + 1])
-            for stats in self.monitor.advance_to(int(arrivals[lo])):
-                self._window_closed(stats)
-            mask = self.selector.keep_mask(arrivals[lo:hi])
-            observe_chunk(self.monitor, arrivals[lo:hi], sizes[lo:hi], mask)
-            self.kept += int(np.count_nonzero(mask))
-        self.offered += n
-        return n
+        mask = self.monitor.observe_chunk(
+            arrivals,
+            chunk.sizes,
+            lambda lo, hi: self.selector.keep_mask(arrivals[lo:hi]),
+            on_close=self._window_closed,
+        )
+        self.kept += int(np.count_nonzero(mask))
+        self.offered += len(chunk)
+        return len(chunk)
 
     # ------------------------------------------------------------------
 

@@ -63,7 +63,8 @@ ones are decoded once and cached on the way through.
 Every subcommand that reads a trace gets it from one loader, and a
 capture it cannot use — missing, a directory, malformed, or without a
 single packet (``validate`` warns about that one instead) — is an
-operational error, as is a flag value the library rejects.  Exit
+operational error, as is a flag value the library rejects, an output
+path that cannot be written, or a port that cannot be bound.  Exit
 status, the same for every subcommand:
 
 - 0: success;
@@ -479,9 +480,10 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     exporter = TextfileExporter(args.metrics_out) if args.metrics_out else None
     server = None
     if args.serve_port is not None:
-        server = MetricsServer(
-            lambda: render_prometheus(obs.snapshot()), port=args.serve_port
-        )
+        with _flag_values():
+            server = MetricsServer(
+                lambda: render_prometheus(obs.snapshot()), port=args.serve_port
+            )
         print("serving OpenMetrics on %s" % server.url)
     obs.event(
         "monitor_start",
@@ -1477,6 +1479,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         except OSError:
             pass
         return 0
+    except OSError as error:
+        # A path the run writes or an address it binds is unusable (a
+        # missing directory, a file where a directory must be, a port
+        # in use); the message names it.
+        print("error: %s" % error, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,23 +1,20 @@
 """Chunk iteration and the end-to-end fast monitored run.
 
-The glue between the kernels: split an in-memory
+The glue between the chunk folds: split an in-memory
 :class:`~repro.trace.Trace` into bounded chunks (zero-copy column
 views, the same shape :func:`~repro.trace.pcap.iter_pcap` yields
 straight off disk), ask the streaming selector for each chunk's keep
-mask, and feed the mask to the live quality monitor — and optionally a
-flow-accounting kernel — chunk by chunk.  :func:`monitor_trace` is the
-whole-trace entry point ``repro-traffic monitor`` calls; for a selector
-without a chunk path it runs the per-packet loop that is the
-executable reference.
+mask, and hand the mask to the flow accountant's and the live quality
+monitor's own ``observe_chunk``, chunk by chunk.
+:func:`monitor_trace` is the whole-trace entry point
+``repro-traffic monitor`` calls; for a selector without a chunk path
+it runs the per-packet loop that is the executable reference.
 """
 
 from typing import Callable, Iterable, Iterator, Optional
 
-import numpy as np
-
 from repro.core.sampling.streaming import ChunkSelector, StreamingSampler
-from repro.fastpath.flows import FlowAccountantKernel
-from repro.fastpath.monitor import observe_chunk
+from repro.flows.sampled import StreamFlowAccountant
 from repro.obs.live.monitor import QualityMonitor, WindowStats
 from repro.trace.trace import Trace
 
@@ -66,17 +63,17 @@ def run_monitor(
     kernel: ChunkSelector,
     monitor: QualityMonitor,
     on_window: Optional[Callable[[WindowStats], None]] = None,
-    accountant: Optional[FlowAccountantKernel] = None,
+    accountant: Optional[StreamFlowAccountant] = None,
 ) -> int:
     """Drive the fast monitored pipeline over a chunk stream.
 
-    For each chunk: one ``keep_mask`` call, one monitor bulk fold
-    (plus one flow-accounting fold when ``accountant`` is given), with
-    ``on_window`` invoked per closed window in close order — the exact
-    event sequence of the per-packet loop.  Returns the number of
-    packets offered.  The final in-progress window is *not* flushed;
-    callers flush the monitor (and accountant) when the stream truly
-    ends, as the per-packet path does.
+    For each chunk: one ``keep_mask`` call, then one flow-accounting
+    fold when ``accountant`` is given, then the monitor's fold of the
+    same mask, with ``on_window`` invoked per closed window in close
+    order — the windows and stores of the per-packet loop.  Returns
+    the number of packets offered.  The final in-progress window is
+    *not* flushed; callers flush the monitor (and accountant) when the
+    stream truly ends, as the per-packet path does.
     """
     offered = 0
     for chunk in chunks:
@@ -85,11 +82,10 @@ def run_monitor(
         mask = kernel.keep_mask(chunk.timestamps_us)
         if accountant is not None:
             accountant.observe_chunk(chunk, mask)
-        observe_chunk(
-            monitor,
+        monitor.observe_chunk(
             chunk.timestamps_us,
-            chunk.sizes.astype(np.float64, copy=False),
-            mask,
+            chunk.sizes,
+            lambda lo, hi: mask[lo:hi],
             on_close=on_window,
         )
         offered += len(chunk)

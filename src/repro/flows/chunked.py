@@ -49,8 +49,8 @@ any state changes (the per-packet table has applied the packets before
 the bad one when it raises).
 :func:`fast_aggregate_trace` feeds a whole trace through it chunk by
 chunk: it is how :mod:`repro.flows.sampled` builds every flow
-population, and :class:`repro.fastpath.FlowAccountantKernel` drives it
-beside the online selector.
+population, and :meth:`repro.flows.sampled.StreamFlowAccountant.observe_chunk`
+runs :func:`account_chunk` beside the online selector.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple

@@ -29,7 +29,10 @@ Two entry points mirror the repo's batch/streaming split:
   contract — it never touches an RNG and never influences a decision,
   so an accounted run is bit-identical to a bare one.  Its flow-cache
   counters and gauges go into an :class:`~repro.obs.Instrumentation`
-  registry; given the monitor's, one exposition serves both.
+  registry; given the monitor's, one exposition serves both.  It
+  takes a packet at a time (:meth:`StreamFlowAccountant.observe`, the
+  reference) or a chunk at a time
+  (:meth:`StreamFlowAccountant.observe_chunk`, the production path).
 
 Every population is a :class:`FlowSet` over one
 :class:`~repro.flows.batch.FlowBatch`: sizes, byte counts and the
@@ -46,7 +49,12 @@ import numpy as np
 from repro.core.metrics.bins import BinSpec
 from repro.core.sampling.base import Sampler, SamplingResult
 from repro.flows.batch import FlowBatch
-from repro.flows.chunked import _group_keys, fast_aggregate_trace
+from repro.flows.chunked import (
+    _group_keys,
+    account_chunk,
+    encode_flow_keys,
+    fast_aggregate_trace,
+)
 from repro.flows.table import REASON_EVICTED, FlowKey, FlowRecord, FlowTable
 from repro.obs.instrument import Counter, Gauge, Instrumentation
 from repro.trace.trace import Trace
@@ -343,13 +351,49 @@ class StreamFlowAccountant:
                 sampled, FlowBatch.from_records(records) if records else None
             )
 
+    def observe_chunk(self, chunk: Trace, kept: "np.ndarray") -> None:
+        """Account one chunk of offered packets and their decisions.
+
+        :func:`~repro.flows.chunked.account_chunk` folds the chunk into
+        the parent table and its kept packets into the sampled table.
+        Both tables, both export streams (one
+        :class:`~repro.flows.batch.FlowBatch` per chunk and side, holding
+        the flows the per-packet loop's records would) and the
+        ``flow_cache_*`` metrics end the chunk exactly as per-packet
+        :meth:`observe` calls would leave them: gauges are
+        last-write-wins and counters accumulate totals.  No
+        :class:`~repro.flows.table.FlowRecord` is built.
+        """
+        kept_mask = np.asarray(kept, dtype=bool)
+        if kept_mask.shape != (len(chunk),):
+            raise ValueError(
+                "keep mask shape %r does not match chunk of %d packets"
+                % (kept_mask.shape, len(chunk))
+            )
+        keys = encode_flow_keys(chunk)
+        parent, sampled = self._sides
+        self._commit(
+            parent,
+            account_chunk(parent[0], chunk.timestamps_us, chunk.sizes, keys),
+        )
+        if kept_mask.any():
+            self._commit(
+                sampled,
+                account_chunk(
+                    sampled[0],
+                    chunk.timestamps_us[kept_mask],
+                    chunk.sizes[kept_mask],
+                    keys[kept_mask],
+                ),
+            )
+
     @staticmethod
     def _commit(side: _Side, batch: Optional[FlowBatch]) -> None:
         """Keep the batch one update of ``side``'s table exported (none
         when it exported nothing) and bring its ``flow_cache_*`` metrics
         up to date.  Every update ends here: :meth:`observe` after each
-        packet, :class:`~repro.fastpath.FlowAccountantKernel` after each
-        chunk, and :meth:`flush` at end of stream."""
+        packet, :meth:`observe_chunk` after each chunk, and :meth:`flush`
+        at end of stream."""
         table, batches, occupancy, peak, exported, evicted = side
         if batch is not None and len(batch):
             batches.append(batch)

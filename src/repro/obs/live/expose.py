@@ -88,10 +88,17 @@ class MetricsServer:
         port: int = 0,
         host: str = "127.0.0.1",
     ) -> None:
+        if not 0 <= port <= 65535:
+            raise ValueError("port must be in [0, 65535], got %d" % port)
         handler = type(
             "_BoundMetricsHandler", (_MetricsHandler,), {"render": staticmethod(render)}
         )
-        self._server = ThreadingHTTPServer((host, port), handler)
+        try:
+            self._server = ThreadingHTTPServer((host, port), handler)
+        except OSError as error:
+            # The bare errno text (say, "Address already in use") does
+            # not say which address.
+            raise OSError(error.errno, error.strerror, "%s:%d" % (host, port)) from None
         self.host = host
         self.port = int(self._server.server_address[1])
         self._thread = threading.Thread(

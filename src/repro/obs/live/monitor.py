@@ -28,7 +28,7 @@ instrumented code path near-free when monitoring is off.
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -154,7 +154,9 @@ class QualityMonitor:
     when the sampler kept the packet, into the sampled histograms —
     four O(1) updates, no packet storage.  ``observe`` returns the
     windows that closed at this arrival (usually none, occasionally
-    one, several after a long silent gap).
+    one, several after a long silent gap).  :meth:`observe_chunk` is
+    the production path: the same folds over a chunk of packets, cut
+    at window boundaries.
     """
 
     enabled = True
@@ -218,6 +220,83 @@ class QualityMonitor:
             self._sampled += 1
         self._prev_timestamp = timestamp_us
         return tuple(closed)
+
+    # ------------------------------------------------------------------
+    # the chunk path
+
+    def observe_chunk(
+        self,
+        timestamps_us: "np.ndarray",
+        sizes: "np.ndarray",
+        select: Callable[[int, int], "np.ndarray"],
+        on_close: Optional[Callable[[WindowStats], None]] = None,
+    ) -> "np.ndarray":
+        """Fold one chunk of offered packets; return its keep mask.
+
+        Cuts the chunk on the window grid.  Before each piece
+        ``[lo, hi)``, the windows due at its first arrival close through
+        :meth:`advance_to` and go to ``on_close``; then ``select(lo, hi)``
+        gives the piece's keep mask, so a callback that re-keys a
+        selector governs the whole piece.  Each histogram takes one
+        :meth:`~repro.stats.streams.RunningHistogram.update_many` per
+        piece, whose counts equal the scalar path's for every value.
+
+        The result equals per-packet :meth:`observe` calls whose closed
+        windows go to ``on_close``: the same windows in the same order,
+        the same state after the chunk, and the same store at every
+        ``on_close`` call.  Timestamps must be non-decreasing and not
+        precede the last observed packet; the chunk is checked before
+        any state changes.
+        """
+        arrivals = np.asarray(timestamps_us, dtype=np.int64)
+        n = arrivals.size
+        if n == 0:
+            return np.zeros(0, dtype=bool)
+        size_values = np.asarray(sizes, dtype=np.float64)
+        if size_values.shape != (n,):
+            raise ValueError("sizes and keep mask must match %d timestamps" % n)
+        prev = self._prev_timestamp
+        first_ts = int(arrivals[0])
+        predecessors = np.concatenate(
+            ([first_ts if prev is None else prev], arrivals[:-1])
+        )
+        gaps = (arrivals - predecessors).astype(np.float64)
+        backwards = np.flatnonzero(gaps < 0)
+        if backwards.size:
+            at = int(backwards[0])
+            raise ValueError(
+                "time went backwards: %d after %d"
+                % (arrivals[at], predecessors[at])
+            )
+
+        if self._window_start is None:
+            self._window_start = first_ts
+        window_index = (arrivals - self._window_start) // self.window_us
+        cuts = (np.flatnonzero(np.diff(window_index)) + 1).tolist()
+        size_target, gap_target = self._targets
+        mask = np.empty(n, dtype=bool)
+        for lo, hi in zip([0] + cuts, cuts + [n]):
+            closed = self.advance_to(int(arrivals[lo]))
+            if on_close is not None:
+                for stats in closed:
+                    on_close(stats)
+            kept = np.asarray(select(lo, hi), dtype=bool)
+            if kept.shape != (hi - lo,):
+                raise ValueError(
+                    "sizes and keep mask must match %d timestamps" % (hi - lo)
+                )
+            mask[lo:hi] = kept
+            piece_sizes = size_values[lo:hi]
+            size_target.parent.update_many(piece_sizes)
+            size_target.sampled.update_many(piece_sizes[kept])
+            gap_lo = 1 if lo == 0 and prev is None else lo
+            piece_gaps = gaps[gap_lo:hi]
+            gap_target.parent.update_many(piece_gaps)
+            gap_target.sampled.update_many(piece_gaps[mask[gap_lo:hi]])
+            self._offered += hi - lo
+            self._sampled += int(np.count_nonzero(kept))
+        self._prev_timestamp = int(arrivals[-1])
+        return mask
 
     def advance_to(self, timestamp_us: int) -> Tuple[WindowStats, ...]:
         """Close every window that ends at or before ``timestamp_us``.

@@ -409,14 +409,17 @@ def iter_pcap(
             yield chunk
         return
     # Re-parse the unverified tail with the reference loop; no records
-    # past `resume` were emitted, so this cannot duplicate.
+    # past `resume` were emitted, so this cannot duplicate.  A batch is
+    # pushed as soon as it completes the builder's pending chunk, so
+    # chunks are emitted at the same record as a reference-only parse
+    # and a later record error cuts the output at the same chunk.
     tail = payload[resume:]
     source = io.BytesIO(tail.tobytes() if isinstance(tail, np.ndarray) else tail)
 
     batch: List[_Record] = []
     for record in _iter_records(source, record_hdr, builder.pushed):
         batch.append(record)
-        if len(batch) >= chunk_packets:
+        if (builder.pushed + len(batch)) % chunk_packets == 0:
             for chunk in builder.push(_columns_from_records(batch)):
                 yield chunk
             batch = []

@@ -11,6 +11,7 @@ so CI can run them as a dedicated job.
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -90,7 +91,7 @@ def test_chaos_run_is_bit_identical_to_fault_free_serial(
     assert canonical(result) == canonical(serial_result)
     assert leaked_dirs() == []
 
-    manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+    manifest = json.loads(Path(run_dir, "manifest.json").read_text())
     assert manifest["quarantined"] == []
     # Crashes arriving close together can coalesce into one collapse,
     # and a crash kill may requeue the hang shard (free: its worker
@@ -132,7 +133,7 @@ def test_pool_poison_shard_is_quarantined_not_fatal(
         )
     ]
     assert canonical(result) == expected
-    manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+    manifest = json.loads(Path(run_dir, "manifest.json").read_text())
     assert manifest["quarantined"] == [poison.key]
     assert leaked_dirs() == []
 

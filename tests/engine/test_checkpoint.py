@@ -1,6 +1,7 @@
 """Checkpoint journal: lossless records, durability, refusal paths."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -191,7 +192,7 @@ class TestQuarantineLines:
         reloaded = CheckpointJournal(str(tmp_path), fingerprint="fp").load()
         assert set(reloaded) == {"shard-a"}  # shard-b re-attempts on resume
 
-        lines = [json.loads(l) for l in open(journal.path)]
+        lines = [json.loads(l) for l in Path(journal.path).read_text().splitlines()]
         quarantine = [e for e in lines if "quarantine" in e]
         assert quarantine == [
             {

@@ -8,8 +8,8 @@ reporting.
 """
 
 import json
-import os
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -262,11 +262,11 @@ class TestQuarantine:
         ]
         assert canonical(result) == expected
 
-        manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+        manifest = json.loads(Path(run_dir, "manifest.json").read_text())
         assert manifest["quarantined"] == [poison.key]
         lines = [
             json.loads(line)
-            for line in open(os.path.join(run_dir, "checkpoint.jsonl"))
+            for line in Path(run_dir, "checkpoint.jsonl").read_text().splitlines()
         ]
         quarantine_lines = [e for e in lines if "quarantine" in e]
         assert len(quarantine_lines) == 1

@@ -5,7 +5,7 @@ run resumed from its checkpoint must equal an uninterrupted one.
 """
 
 import json
-import os
+from pathlib import Path
 
 import pytest
 
@@ -101,7 +101,7 @@ class TestCheckpointResume:
         result = resumed.run(grid, minute_trace)
         assert canonical(result) == canonical(serial_result)
 
-        manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+        manifest = json.loads(Path(run_dir, "manifest.json").read_text())
         assert manifest["shards_skipped"] == 3
         assert manifest["shards_executed"] == manifest["shards_total"] - 3
 
@@ -112,7 +112,7 @@ class TestCheckpointResume:
         run_grid(grid, minute_trace, run_dir=run_dir)
         result = run_grid(grid, minute_trace, run_dir=run_dir, resume=True)
         assert canonical(result) == canonical(serial_result)
-        manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+        manifest = json.loads(Path(run_dir, "manifest.json").read_text())
         assert manifest["shards_executed"] == 0
         assert manifest["shards_skipped"] == manifest["shards_total"]
 
@@ -135,7 +135,7 @@ class TestCheckpointResume:
         run_grid(grid, minute_trace, run_dir=run_dir)
         result = run_grid(grid, minute_trace, run_dir=run_dir)  # no resume
         assert canonical(result) == canonical(serial_result)
-        manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+        manifest = json.loads(Path(run_dir, "manifest.json").read_text())
         assert manifest["shards_skipped"] == 0
 
 
@@ -144,7 +144,7 @@ class TestTelemetry:
         run_dir = str(tmp_path / "run")
         runner = ParallelRunner(run_dir=run_dir)
         runner.run(grid, minute_trace)
-        manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+        manifest = json.loads(Path(run_dir, "manifest.json").read_text())
         assert manifest["jobs"] == 1
         assert manifest["shards_total"] == len(grid.methods) * 2 * 2 * 2
         assert manifest["wall_s"] > 0

@@ -29,7 +29,6 @@ from repro.fastpath import (
     iter_trace_chunks,
     run_monitor,
 )
-from repro.fastpath.flows import FlowAccountantKernel
 from repro.flows import chunked
 from repro.flows.batch import REASON_CODES, REASONS, FlowBatch
 from repro.flows.chunked import (
@@ -422,14 +421,13 @@ class TestAccountantKernel:
         reference.flush()
 
         subject = StreamFlowAccountant(**tables)
-        kernel = FlowAccountantKernel(subject)
         for start in range(0, len(trace), chunk):
             stop = start + chunk
-            kernel.observe_chunk(
+            subject.observe_chunk(
                 trace.slice_packets(start, min(stop, len(trace))),
                 kept[start:stop],
             )
-        kernel.flush()
+        subject.flush()
         return reference, subject
 
     @pytest.mark.parametrize("chunk", [1, 13, 500])
@@ -468,9 +466,8 @@ class TestAccountantKernel:
         for i, (timestamp_us, size, key) in enumerate(iter_flow_keys(trace)):
             reference.observe(timestamp_us, size, key, True)
         subject = StreamFlowAccountant(idle_timeout_us=500_000, max_flows=8)
-        kernel = FlowAccountantKernel(subject)
         for start in range(0, len(trace), 64):
-            kernel.observe_chunk(
+            subject.observe_chunk(
                 trace.slice_packets(start, min(start + 64, len(trace))),
                 kept[start : start + 64],
             )
@@ -502,7 +499,7 @@ class TestAccountantKernel:
                 iter_trace_chunks(five_minute_trace),
                 chunk_kernel_for(selector()),
                 QualityMonitor(window_us=30_000_000),
-                accountant=FlowAccountantKernel(subject),
+                accountant=subject,
             )
         subject.flush()
 
@@ -520,6 +517,6 @@ class TestAccountantKernel:
         assert subject.store.snapshot() == reference.store.snapshot()
 
     def test_mask_shape_checked(self, tiny_trace):
-        kernel = FlowAccountantKernel(StreamFlowAccountant())
+        accountant = StreamFlowAccountant()
         with pytest.raises(ValueError, match="keep mask"):
-            kernel.observe_chunk(tiny_trace, np.ones(3, dtype=bool))
+            accountant.observe_chunk(tiny_trace, np.ones(3, dtype=bool))

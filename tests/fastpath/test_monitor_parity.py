@@ -1,6 +1,6 @@
 """Live-monitor parity: bulk chunk folds vs per-packet observe().
 
-:func:`repro.fastpath.monitor.observe_chunk` must close the same
+:meth:`QualityMonitor.observe_chunk` must close the same
 windows (same :class:`WindowStats`, same order), leave the same
 accumulator state, and drive the metrics store to the same snapshots as
 per-packet :meth:`QualityMonitor.observe` calls, under any chunking —
@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sampling.streaming import StreamingStratified
-from repro.fastpath.monitor import observe_chunk
 from repro.fastpath.pipeline import monitor_trace
 from repro.obs.live.monitor import QualityMonitor
+from repro.trace.trace import Trace
 
 WINDOW_US = 100_000
 
@@ -36,6 +36,21 @@ def run_per_packet(monitor: QualityMonitor, timestamps, sizes, kept):
     for timestamp, size, keep in zip(timestamps, sizes, kept):
         closed.extend(monitor.observe(int(timestamp), float(size), bool(keep)))
     return closed
+
+
+def observe_chunk(monitor: QualityMonitor, timestamps, sizes, kept, on_close=None):
+    """Fold a chunk with a precomputed mask; return the windows it closes."""
+    closed = []
+
+    def close(stats):
+        closed.append(stats)
+        if on_close is not None:
+            on_close(stats)
+
+    monitor.observe_chunk(
+        timestamps, sizes, lambda lo, hi: kept[lo:hi], on_close=close
+    )
+    return tuple(closed)
 
 
 def run_chunked(monitor: QualityMonitor, timestamps, sizes, kept, chunk_sizes):
@@ -151,6 +166,62 @@ class TestOnCloseCallback:
         # First close exported 2 offered packets, second 1 more.
         assert offered_at_close == [2.0, 3.0]
 
+    def test_windows_closed_at_one_arrival_see_the_per_packet_store(self):
+        # A silent gap closes three windows at one arrival.  The
+        # per-packet loop's caller reads the store after all three
+        # closes; every on_close call of the chunk fold reads it too.
+        timestamps = np.asarray(
+            [0, 10_000, 20_000, 320_000, 330_000], dtype=np.int64
+        )
+        sizes = np.asarray([40.0, 552.0, 1500.0, 40.0, 552.0])
+        kept = np.asarray([True, False, True, True, False])
+        reference = QualityMonitor(window_us=WINDOW_US)
+        expected = []
+        for timestamp, size, keep in zip(timestamps, sizes, kept):
+            for _stats in reference.observe(int(timestamp), float(size), bool(keep)):
+                expected.append(reference.store.snapshot())
+        subject = QualityMonitor(window_us=WINDOW_US)
+        actual = []
+        subject.observe_chunk(
+            timestamps,
+            sizes,
+            lambda lo, hi: kept[lo:hi],
+            on_close=lambda stats: actual.append(subject.store.snapshot()),
+        )
+        closed = [snapshot["counters"]["monitor_windows_closed"] for snapshot in actual]
+        assert closed == [3.0, 3.0, 3.0]
+        assert actual == expected
+
+    def test_select_decides_each_window_piece_after_its_closes(self):
+        # select is asked once per window piece, after the windows due
+        # at the piece's first arrival have gone to on_close, so a
+        # callback that re-keys a selector governs the whole piece.
+        timestamps = np.asarray(
+            [0, 50_000, 150_000, 250_000, 260_000], dtype=np.int64
+        )
+        sizes = np.asarray([100.0, 200.0, 300.0, 400.0, 500.0])
+        kept = np.asarray([True, False, True, False, True])
+        events = []
+
+        def select(lo, hi):
+            events.append(("select", lo, hi))
+            return kept[lo:hi]
+
+        mask = QualityMonitor(window_us=WINDOW_US).observe_chunk(
+            timestamps,
+            sizes,
+            select,
+            on_close=lambda stats: events.append(("close", stats.index)),
+        )
+        assert events == [
+            ("select", 0, 2),
+            ("close", 0),
+            ("select", 2, 3),
+            ("close", 1),
+            ("select", 3, 5),
+        ]
+        assert mask.tolist() == kept.tolist()
+
 
 class TestValidation:
     def test_rejects_time_backwards_within_chunk(self):
@@ -214,4 +285,29 @@ class TestMonitorTrace:
                 monitor_trace(subset, selector, monitor, windows.append)
             assert len(windows) == monitor.windows_closed
             runs.append(([w.as_dict() for w in windows], monitor.store.snapshot()))
+        assert runs[0] == runs[1]
+
+    def test_windows_closed_at_one_arrival_see_one_store(self, per_packet):
+        # Three windows close at the arrival after a silent gap.  The
+        # per-packet loop hands them to on_window after all three
+        # closes; the chunked run's calls read that same store.
+        trace = Trace(
+            timestamps_us=[0, 10_000, 20_000, 320_000, 330_000],
+            sizes=[40, 552, 1500, 40, 552],
+        )
+        runs = []
+        for stages in ((), ("select",)):
+            monitor = QualityMonitor(window_us=WINDOW_US)
+            selector = StreamingStratified(2, rng=np.random.default_rng(5))
+            snapshots = []
+            with per_packet(*stages):
+                monitor_trace(
+                    trace,
+                    selector,
+                    monitor,
+                    lambda stats: snapshots.append(monitor.store.snapshot()),
+                )
+            runs.append(snapshots)
+        closed = [snapshot["counters"]["monitor_windows_closed"] for snapshot in runs[1]]
+        assert closed == [3.0, 3.0, 3.0, 4.0]
         assert runs[0] == runs[1]

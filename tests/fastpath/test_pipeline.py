@@ -19,7 +19,6 @@ from repro.cli import main
 from repro.core.sampling.streaming import StreamingStratified
 from repro.fastpath import (
     DEFAULT_CHUNK_PACKETS,
-    FlowAccountantKernel,
     chunk_kernel_for,
     iter_trace_chunks,
     run_monitor,
@@ -106,7 +105,7 @@ class TestRunMonitor:
             chunk_kernel_for(subject_selector),
             subject_monitor,
             on_window=actual_windows.append,
-            accountant=FlowAccountantKernel(subject_accountant),
+            accountant=subject_accountant,
         )
         subject_accountant.flush()
 

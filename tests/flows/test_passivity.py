@@ -7,7 +7,7 @@ on and off and require exact equality.
 """
 
 import json
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,7 +119,7 @@ class TestEnginePassivity:
         _, flows_grid = grids
         run_dir = str(tmp_path / "run")
         run_grid(flows_grid, minute_trace, run_dir=run_dir, jobs=2)
-        manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+        manifest = json.loads(Path(run_dir, "manifest.json").read_text())
         for shard in manifest["shards"]:
             assert "flows" in shard
             assert shard["flows"]["parent_flows"] >= shard["flows"][
@@ -132,7 +132,7 @@ class TestEnginePassivity:
         bare_grid, _ = grids
         run_dir = str(tmp_path / "run")
         run_grid(bare_grid, minute_trace, run_dir=run_dir)
-        manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+        manifest = json.loads(Path(run_dir, "manifest.json").read_text())
         for shard in manifest["shards"]:
             assert "flows" not in shard
 

@@ -106,6 +106,7 @@ class TestMetricsServer:
                 urllib.request.urlopen(
                     "http://127.0.0.1:%d/debug" % server.port
                 )
+            excinfo.value.close()
             assert excinfo.value.code == 404
 
     def test_close_releases_the_port(self):

@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import socket
 import struct
 
 import pytest
@@ -259,6 +260,67 @@ class TestErrorPaths:
         capsys.readouterr()
         assert main(["flows", trace_path, "aggregate"] + flags) == 2
         assert capsys.readouterr().err == "error: %s\n" % message
+
+    @pytest.fixture()
+    def trace_path(self, tmp_path, capsys):
+        path = str(tmp_path / "t.pcap")
+        main(["generate", path, "--duration", "5", "--seed", "5"])
+        capsys.readouterr()
+        return path
+
+    SMALL_GRID = ["--methods", "systematic", "--max-log2-granularity", "2"]
+
+    # Output paths a run cannot write: under a missing directory, or
+    # under a regular file where a directory must be.  ``named`` is the
+    # path the error line must name.
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["generate", "{missing}/x.pcap", "--duration", "1"], "{missing}/x.pcap"),
+            (["flows", "{trace}", "aggregate", "--csv", "{missing}/x.csv"], "{missing}/x.csv"),
+            (["adapt", "{trace}", "--csv", "{missing}/x.csv"], "{missing}/x.csv"),
+            (["experiment", "{trace}", "--save", "{missing}/x.csv"] + SMALL_GRID, "{missing}/x.csv"),
+            (["experiment", "{trace}", "--run-dir", "{file}/run"] + SMALL_GRID, "{file}/run"),
+            (["monitor", "{trace}", "--metrics-out", "{file}/x.prom"], "{file}"),
+            (["monitor", "{trace}", "--run-dir", "{file}/run"], "{file}/run"),
+            (["--trace-cache", "{file}/cache", "describe", "{trace}"], "{file}/cache"),
+            (["--trace-cache", "{file}/cache", "cache", "{trace}", "build"], "{file}/cache"),
+        ],
+        ids=[
+            "generate", "flows-csv", "adapt-csv", "experiment-save",
+            "experiment-run-dir", "monitor-metrics-out", "monitor-run-dir",
+            "describe-trace-cache", "cache-build",
+        ],
+    )
+    def test_unwritable_path_fails_in_one_line(
+        self, tmp_path, capsys, trace_path, argv, named
+    ):
+        (tmp_path / "file").write_text("not a directory")
+        paths = dict(
+            trace=trace_path,
+            missing=str(tmp_path / "missing"),
+            file=str(tmp_path / "file"),
+        )
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'%s'" % named.format(**paths) in err
+
+    @pytest.mark.parametrize("port", [70000, -1])
+    def test_out_of_range_serve_port_is_rejected(self, capsys, trace_path, port):
+        assert main(["monitor", trace_path, "--serve-port", str(port)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: port must be in [0, 65535], got %d\n" % port
+
+    def test_bound_serve_port_fails_in_one_line(self, capsys, trace_path):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            assert main(["monitor", trace_path, "--serve-port", str(port)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "127.0.0.1:%d" % port in err
 
 
 class TestCommands:

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.instrument import Instrumentation
+from repro.trace import store
 from repro.trace.pcap import (
     LINKTYPE_RAW,
     PCAP_MAGIC,
@@ -34,6 +36,7 @@ from repro.trace.store import (
     iter_decoded_columns,
 )
 from repro.trace.trace import Trace
+from repro.workload.generator import nsfnet_hour_trace
 
 
 @pytest.fixture(params=["on", "off"])
@@ -227,6 +230,82 @@ class TestCodecIdentity:
         assert len(fast) == len(ref)
         for got, want in zip(fast, ref):
             assert got == want
+
+
+#: One damage to a capture's records, as ``(kind, where, value)``: XOR
+#: a byte with ``value``, plant a 0x45 byte (a false IPv4 header start
+#: for the chain walk), rewrite a record's ``incl_len`` word to
+#: ``value``, or cut the file.  ``where`` is taken modulo the record
+#: bytes or the records; the global header stays intact.
+MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 20), st.integers(1, 255)),
+    st.tuples(st.just("plant"), st.integers(0, 1 << 20), st.just(0x45)),
+    st.tuples(
+        st.just("incl_len"),
+        st.integers(0, 1 << 20),
+        st.one_of(st.integers(0, 200), st.integers(0, (1 << 32) - 1)),
+    ),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 20), st.just(0)),
+)
+
+
+def mutate(raw: bytes, mutations) -> bytes:
+    """``raw`` (a little-endian capture) with ``mutations`` applied."""
+    offsets = [24]
+    while offsets[-1] < len(raw):
+        offsets.append(offsets[-1] + 16 + struct.unpack_from("<I", raw, offsets[-1] + 8)[0])
+    records = offsets[:-1]
+    data = bytearray(raw)
+    for kind, where, value in mutations:
+        if kind == "incl_len":
+            at = records[where % len(records)] + 8
+            if at + 4 <= len(data):
+                struct.pack_into("<I", data, at, value)
+        elif len(data) == 24:
+            continue
+        elif kind == "truncate":
+            del data[24 + where % (len(data) - 24) :]
+        else:
+            position = 24 + where % (len(data) - 24)
+            data[position] = data[position] ^ value if kind == "flip" else value
+    return bytes(data)
+
+
+def decode_outcome(data: bytes):
+    """The 64-packet chunks a decode delivers, then the type and message
+    of its error (``None`` when it reads to the end)."""
+    chunks = []
+    try:
+        for chunk in iter_pcap(io.BytesIO(data), chunk_packets=64):
+            chunks.append(chunk)
+    except Exception as error:
+        return chunks, (type(error), str(error))
+    return chunks, None
+
+
+@pytest.fixture(scope="module")
+def second_capture() -> bytes:
+    """One synthetic second (~400 records) as a little-endian pcap."""
+    return pcap_bytes(nsfnet_hour_trace(seed=23, duration_s=1))
+
+
+class TestChainWalkProperty:
+    """The block scan's chain walk on damaged captures, at any block
+    size, against the per-record reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mutations=st.lists(MUTATION, min_size=1, max_size=4),
+        block_bytes=st.integers(min_value=17, max_value=3000),
+    )
+    def test_mutated_capture_decodes_like_reference(
+        self, second_capture, per_packet, mutations, block_bytes
+    ):
+        data = mutate(second_capture, mutations)
+        with per_packet("decode"):
+            expected = decode_outcome(data)
+        with mock.patch.object(store, "DEFAULT_BLOCK_BYTES", block_bytes):
+            assert decode_outcome(data) == expected
 
 
 class TestBlockBoundaries:
