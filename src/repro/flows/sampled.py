@@ -48,13 +48,9 @@ import numpy as np
 
 from repro.core.metrics.bins import BinSpec
 from repro.core.sampling.base import Sampler, SamplingResult
+from repro.flows import chunked
 from repro.flows.batch import FlowBatch
-from repro.flows.chunked import (
-    _group_keys,
-    account_chunk,
-    encode_flow_keys,
-    fast_aggregate_trace,
-)
+from repro.flows.chunked import _group_keys, encode_flow_keys, fast_aggregate_trace
 from repro.flows.table import REASON_EVICTED, FlowKey, FlowRecord, FlowTable
 from repro.obs.instrument import Counter, Gauge, Instrumentation
 from repro.trace.trace import Trace
@@ -374,12 +370,12 @@ class StreamFlowAccountant:
         parent, sampled = self._sides
         self._commit(
             parent,
-            account_chunk(parent[0], chunk.timestamps_us, chunk.sizes, keys),
+            chunked.account_chunk(parent[0], chunk.timestamps_us, chunk.sizes, keys),
         )
         if kept_mask.any():
             self._commit(
                 sampled,
-                account_chunk(
+                chunked.account_chunk(
                     sampled[0],
                     chunk.timestamps_us[kept_mask],
                     chunk.sizes[kept_mask],

@@ -15,6 +15,7 @@ monitor's registry, the same text a run directory's ``metrics.prom``
 holds.
 """
 
+import errno
 import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -37,13 +38,25 @@ class TextfileExporter:
         self.writes = 0
 
     def write(self, text: str) -> str:
-        """Replace the snapshot file atomically; returns the path."""
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
+        """Replace the snapshot file atomically; returns the path.
+
+        A missing parent directory is created.  A path that cannot be
+        written raises :class:`OSError` naming the path itself, not the
+        parent directory or temporary file the failing call touched.
+        """
         temp_path = self.path + ".tmp"
-        with open(temp_path, "w") as stream:
-            stream.write(text)
-        os.replace(temp_path, self.path)
+        try:
+            os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
+            with open(temp_path, "w") as stream:
+                stream.write(text)
+            os.replace(temp_path, self.path)
+        except FileExistsError as error:
+            # makedirs met a file where the parent directory must be.
+            raise NotADirectoryError(
+                errno.ENOTDIR, os.strerror(errno.ENOTDIR), self.path
+            ) from error
+        except OSError as error:
+            raise OSError(error.errno, error.strerror, self.path) from error
         self.writes += 1
         return self.path
 

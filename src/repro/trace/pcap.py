@@ -15,9 +15,12 @@ Both directions run the vectorized block codec in
 :mod:`repro.trace.store`.  The original per-record struct loops stay
 as the executable reference and as its fallback: the reader verifies
 every record chain exactly and demotes any stream region it cannot
-verify to the per-record loop, and the writer hands any field outside
-the reference's struct ranges to the per-record writer, so output —
-including error behavior — is always bit-identical to the reference.
+verify to the per-record loop, and the writer, which encodes one
+bounded chunk of packets at a time, hands a chunk with any field
+outside the reference's struct ranges to the per-record writer from
+that chunk's first packet on.  So output — including error behavior
+and the bytes written before an error — is always bit-identical to
+the reference.
 """
 
 import io
@@ -29,7 +32,12 @@ import numpy as np
 
 from repro.obs.instrument import NULL_OBS
 from repro.trace.packet import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP
-from repro.trace.store import FastpathUnsupported, encode_trace, iter_decoded_columns
+from repro.trace.store import (
+    _TRANSPORT_LEN,
+    FastpathUnsupported,
+    encode_trace,
+    iter_decoded_columns,
+)
 from repro.trace.trace import TRACE_COLUMNS, Trace
 
 #: Classic libpcap magic for microsecond-resolution timestamps.
@@ -44,7 +52,8 @@ _RECORD_HEADER_BE = struct.Struct(">IIII")
 _IP_HEADER = struct.Struct(">BBHHHBBHII")
 
 _IP_HEADER_LEN = 20
-_TRANSPORT_HEADER_LEN = {IPPROTO_TCP: 20, IPPROTO_UDP: 8, IPPROTO_ICMP: 8}
+#: Smallest snaplen: the IPv4 header plus the largest transport header.
+_MIN_SNAPLEN = _IP_HEADER_LEN + int(_TRANSPORT_LEN.max())
 #: Capture length: enough for IP + the largest transport header we emit.
 DEFAULT_SNAPLEN = 64
 
@@ -111,6 +120,11 @@ def _build_packet_bytes(
     return captured[:snaplen]
 
 
+#: Row-block bytes :func:`write_pcap` encodes at a time: its memory
+#: grows with this budget, not with the trace.
+WRITE_BLOCK_BYTES = 1 << 20
+
+
 def write_pcap(
     trace: Trace,
     destination: Union[str, BinaryIO],
@@ -118,10 +132,13 @@ def write_pcap(
 ) -> None:
     """Write ``trace`` to ``destination`` as a classic pcap file.
 
-    The vectorized encoder writes the bytes; a trace with fields
-    outside the reference writer's struct ranges goes through the
-    per-record reference loop instead, which raises its historical
-    error.
+    The vectorized encoder writes one chunk of packets at a time, as
+    many as fit :data:`WRITE_BLOCK_BYTES` at the widest record the
+    trace can have.  A chunk the encoder refuses (a field outside the
+    reference writer's struct ranges) goes through the per-record
+    reference loop from that chunk's first packet on, which raises its
+    historical error at the first bad record: the bytes written before
+    the error are the reference's too.
 
     Parameters
     ----------
@@ -134,22 +151,36 @@ def write_pcap(
         default; payload beyond the snap length is truncated, with the
         true size preserved in the record's original-length field.
     """
-    if snaplen < _IP_HEADER_LEN + max(_TRANSPORT_HEADER_LEN.values()):
+    if snaplen < _MIN_SNAPLEN:
         raise ValueError("snaplen %d too small to hold packet headers" % snaplen)
     if isinstance(destination, str):
         with open(destination, "wb") as stream:
             write_pcap(trace, stream, snaplen=snaplen)
         return
 
-    encoded = encode_trace(trace, snaplen)
-    if encoded is not None:
-        destination.write(encoded)
-        return
-
     destination.write(
         _GLOBAL_HEADER.pack(PCAP_MAGIC, 2, 4, 0, 0, snaplen, LINKTYPE_RAW)
     )
-    for i in range(len(trace)):
+    # No record is wider than its header and min(snaplen, max(the
+    # smallest snaplen, the largest size)) captured bytes.
+    largest = int(trace.sizes.max(initial=0))
+    widest = _RECORD_HEADER.size + min(snaplen, max(_MIN_SNAPLEN, largest))
+    rows = max(1, WRITE_BLOCK_BYTES // widest)
+    for start in range(0, len(trace), rows):
+        encoded = encode_trace(trace.slice_packets(start, start + rows), snaplen)
+        if encoded is None:
+            _write_records(trace, start, destination, snaplen)
+            return
+        destination.write(encoded)
+
+
+def _write_records(
+    trace: Trace, start: int, destination: BinaryIO, snaplen: int
+) -> None:
+    """The per-record reference writer (the executable specification
+    the vectorized encoder is pinned against): records ``start:`` of
+    ``trace``, one at a time."""
+    for i in range(start, len(trace)):
         ts = int(trace.timestamps_us[i])
         payload = _build_packet_bytes(
             size=int(trace.sizes[i]),

@@ -14,10 +14,14 @@ surviving chain is then *verified exactly* — offsets must tile the
 buffer with no gaps or overlaps — before columns are decoded with
 phase-grouped ``u32`` gathers.  Every shortcut is speculative: a miss
 can only demote the stream to the per-packet reference loop (via
-:class:`FastpathUnsupported`), never change the output.  The reader
-and the mirrored vectorized writer (:func:`encode_trace`) are pinned
-bit-identical to the reference implementations by the differential
-test battery.
+:class:`FastpathUnsupported`), never change the output.  The writer's
+:func:`encode_trace` lays a chunk's records out as fixed-stride rows:
+one zeroed block as wide as the widest record, each header field one
+strided column write through a word view of it, and every row then
+cut to its record's length by one boolean mask.  It declines any
+field the reference writer's structs cannot hold.  Reader and writer
+are pinned bit-identical to the reference implementations by the
+differential test battery.
 
 **Store.**  :class:`TraceStore` persists each decoded column as a raw
 little-endian array beside a schema-versioned JSON manifest, keyed by
@@ -31,7 +35,6 @@ import hashlib
 import json
 import os
 import shutil
-import struct
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -63,12 +66,6 @@ _MIN_RECORD = 36
 #: cost more in candidate machinery than the fastpath saves, so it
 #: falls back to the reference loop instead.
 _MAX_CAND_DIV = 12
-
-# Wire constants mirroring repro.trace.pcap (kept local to avoid an
-# import cycle; the byte-identity tests pin the two in agreement).
-_PCAP_MAGIC = 0xA1B2C3D4
-_LINKTYPE_RAW = 101
-_GLOBAL_HEADER = struct.Struct("<IHHiIII")
 
 _ColumnTuple = Tuple[
     np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
@@ -350,104 +347,109 @@ def iter_decoded_columns(
 # ----------------------------------------------------------------------
 
 
-def _scatter_u16be(out: np.ndarray, at: np.ndarray, values: np.ndarray) -> None:
-    out[at] = (values >> 8) & 0xFF
-    out[at + 1] = values & 0xFF
+#: Transport header bytes the writer emits after the IPv4 header, by
+#: protocol number: TCP 20, UDP and ICMP 8, any other protocol none.
+#: :mod:`repro.trace.pcap` sizes its smallest snaplen from this table.
+_TRANSPORT_LEN = np.zeros(256, dtype=np.uint32)
+_TRANSPORT_LEN[IPPROTO_TCP] = 20
+_TRANSPORT_LEN[IPPROTO_UDP] = _TRANSPORT_LEN[IPPROTO_ICMP] = 8
+
+#: Narrowest row: the record offset where the TCP header ends, so every
+#: field write lands inside the row whatever a record's length.
+_MIN_ROW = 56
 
 
-def encode_trace(trace: Trace, snaplen: int) -> Optional[bytes]:
-    """Serialize ``trace`` to classic pcap bytes, vectorized.
+def _cut_mask(lengths: np.ndarray, width: int) -> np.ndarray:
+    """Boolean mask over a ``(len(lengths), width)`` row block that keeps
+    the first ``lengths[i]`` bytes of row ``i``.  Each mask row is taken
+    from a table with one row per length present, so the table is never
+    larger than the block, and taking its rows is several times faster
+    than comparing every row against its length."""
+    present = np.flatnonzero(np.bincount(lengths, minlength=width + 1))
+    slot = np.zeros(width + 1, dtype=np.intp)
+    slot[present] = np.arange(present.size)
+    table = np.arange(width) < present[:, None]
+    return np.take(table, slot[lengths], axis=0)
 
-    Returns ``None`` when any field falls outside the reference
-    writer's struct ranges (negative or 32-bit-overflowing timestamps,
-    sizes outside the IPv4 total-length field); the caller then runs
-    the per-record reference loop, which raises the exact historical
-    error.  Output is byte-identical to the reference writer.
+
+def encode_trace(trace: Trace, snaplen: int) -> Optional[np.ndarray]:
+    """Serialize the records of ``trace`` (no global header), vectorized.
+
+    Returns the records as one flat ``uint8`` array, byte-identical to
+    what the reference writer emits for these packets, or ``None`` when
+    any field falls outside the reference writer's struct ranges
+    (negative or 32-bit-overflowing timestamps, sizes outside the IPv4
+    total-length field); the caller then runs the per-record reference
+    loop, which raises the exact historical error.
+
+    Records are built as fixed-stride rows: one zeroed block of ``16 +
+    widest record`` bytes a row (at least ``_MIN_ROW``, rounded up to
+    whole words), each header field written as one strided column of a
+    word view of the block, then every row cut to its ``16 + incl_len``
+    bytes by one boolean mask.  Memory is a few times the block, so
+    callers bound it by the packets they pass
+    (:func:`repro.trace.pcap.write_pcap` passes one chunk at a time).
     """
     n = len(trace)
-    ts = trace.timestamps_us.astype(np.int64, copy=False)
-    sizes = trace.sizes.astype(np.int64)
-    if n:
-        if int(ts.min()) < 0 or int(ts.max()) // 1_000_000 > 0xFFFFFFFF:
-            return None
-        if int(sizes.min()) < 0 or int(sizes.max()) > 0xFFFF:
-            return None
-    proto = trace.protocols.astype(np.int64)
-    net_s = trace.src_nets.astype(np.int64)
-    net_d = trace.dst_nets.astype(np.int64)
-    sp = trace.src_ports.astype(np.int64)
-    dp = trace.dst_ports.astype(np.int64)
+    if not n:
+        return np.empty(0, dtype=np.uint8)
+    ts = trace.timestamps_us
+    sizes = trace.sizes
+    if int(ts.min()) < 0 or int(ts.max()) // 1_000_000 > 0xFFFFFFFF:
+        return None
+    if int(sizes.min()) < 0 or int(sizes.max()) > 0xFFFF:
+        return None
+    size = sizes.astype(np.uint32)
+    proto = trace.protocols.astype(np.uint32)
 
     # Captured length: IP header + transport header, padded out to
     # min(size, snaplen) — the exact arithmetic of the reference's
     # _build_packet_bytes (snaplen >= 40 guarantees headers fit).
-    thl = np.zeros(n, dtype=np.int64)
-    thl[proto == IPPROTO_TCP] = 20
-    thl[(proto == IPPROTO_UDP) | (proto == IPPROTO_ICMP)] = 8
-    cap = np.maximum(20 + thl, np.minimum(sizes, snaplen))
+    incl = np.minimum(size, np.uint32(min(snaplen, 0xFFFF)))
+    np.maximum(incl, _TRANSPORT_LEN[proto] + np.uint32(20), out=incl)
+    width = -(-max(_MIN_ROW, 16 + int(incl.max())) // 4) * 4
+    block = np.zeros((n, width), dtype=np.uint8)
+    # Whole-word views of the contiguous block: column k is bytes
+    # 4k..4k+3 of every row.  (Viewing a 4-byte slice of each row
+    # instead needs NumPy 1.23, which the package does not require.)
+    le = block.view("<u4")
+    be = block.view(">u4")
 
-    rec = 16 + cap
-    starts = np.empty(n, dtype=np.int64)
-    if n:
-        starts[0] = 0
-        np.cumsum(rec[:-1], out=starts[1:])
-        starts += 24
-    total = 24 + int(rec.sum())
-    out = np.zeros(total, dtype=np.uint8)
-    out[:24] = np.frombuffer(
-        _GLOBAL_HEADER.pack(_PCAP_MAGIC, 2, 4, 0, 0, snaplen, _LINKTYPE_RAW),
-        dtype=np.uint8,
-    )
-    if not n:
-        return out.tobytes()
+    # Record header: four little-endian words.
+    sec, usec = np.divmod(ts, 1_000_000)
+    le[:, 0] = sec
+    le[:, 1] = usec
+    le[:, 2] = incl
+    le[:, 3] = size
 
-    # Record header (little-endian u32s).
-    sec = ts // 1_000_000
-    usec = ts % 1_000_000
-    for off, vals in ((0, sec), (4, usec), (8, cap), (12, sizes)):
-        out[starts + off] = vals & 0xFF
-        out[starts + off + 1] = (vals >> 8) & 0xFF
-        out[starts + off + 2] = (vals >> 16) & 0xFF
-        out[starts + off + 3] = (vals >> 24) & 0xFF
-
-    # IPv4 header: version/IHL 0x45, TTL 64, host part of each address
-    # fixed at 1; identification, flags, and TOS are zero (the buffer
-    # is zero-initialized, so only nonzero bytes are scattered).
-    out[starts + 16] = 0x45
-    _scatter_u16be(out, starts + 18, sizes)
-    out[starts + 24] = 64
-    out[starts + 25] = proto
-    # RFC 1071 checksum over the ten header words; the maximum possible
-    # sum fits after two folds.
-    csum = 0x4500 + sizes + 0x4000 + proto + net_s + 1 + net_d + 1
+    # IPv4 header, big-endian words at row offsets 16-35: version/IHL
+    # 0x45 and the total length; identification and flags stay zero;
+    # TTL 64, protocol and the RFC 1071 checksum over the ten header
+    # words (the largest possible sum fits after two folds); each
+    # address is the network number over host 1.
+    net_s = trace.src_nets.astype(np.uint32)
+    net_d = trace.dst_nets.astype(np.uint32)
+    csum = size + proto + net_s + net_d + (0x4500 + 0x4000 + 1 + 1)
     csum = (csum & 0xFFFF) + (csum >> 16)
     csum = (csum & 0xFFFF) + (csum >> 16)
-    csum = ~csum & 0xFFFF
-    _scatter_u16be(out, starts + 26, csum)
-    _scatter_u16be(out, starts + 28, net_s)
-    out[starts + 31] = 1
-    _scatter_u16be(out, starts + 32, net_d)
-    out[starts + 35] = 1
+    be[:, 4] = size | (0x45 << 24)
+    be[:, 6] = (64 << 24) | (proto << 16) | (csum ^ 0xFFFF)
+    be[:, 7] = (net_s << 16) | 1
+    be[:, 8] = (net_d << 16) | 1
 
-    # Transport headers at record offset 36.
-    tcp = np.flatnonzero(proto == IPPROTO_TCP)
-    if tcp.size:
-        at = starts[tcp]
-        _scatter_u16be(out, at + 36, sp[tcp])
-        _scatter_u16be(out, at + 38, dp[tcp])
-        out[at + 48] = 0x50  # data offset 5 words
-        out[at + 49] = 0x10  # ACK flag
-        out[at + 50] = 0x20  # window 8192, high byte
-    udp = np.flatnonzero(proto == IPPROTO_UDP)
-    if udp.size:
-        at = starts[udp]
-        _scatter_u16be(out, at + 36, sp[udp])
-        _scatter_u16be(out, at + 38, dp[udp])
-        _scatter_u16be(out, at + 40, np.maximum(8, sizes[udp] - 20))
-    icmp = np.flatnonzero(proto == IPPROTO_ICMP)
-    if icmp.size:
-        out[starts[icmp] + 36] = 8  # echo request type
-    return out.tobytes()
+    # Transport headers at row offset 36: ports for TCP and UDP, the
+    # echo-request type for ICMP, UDP's length word at 40, and TCP's
+    # data offset (5 words), ACK flag and window 8192 at 48.  Rows of
+    # any other protocol stay zero there, the padding the reference
+    # writes.
+    tcp = proto == IPPROTO_TCP
+    udp = proto == IPPROTO_UDP
+    ports = (trace.src_ports.astype(np.uint32) << 16) | trace.dst_ports
+    be[:, 9] = ports * (tcp | udp) + (proto == IPPROTO_ICMP) * np.uint32(8 << 24)
+    be[:, 10] = ((np.maximum(size, 28) - 20) << 16) * udp
+    be[:, 12] = tcp * np.uint32(0x50102000)
+
+    return block[_cut_mask(incl + 16, width)]
 
 
 # ----------------------------------------------------------------------

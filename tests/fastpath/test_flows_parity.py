@@ -516,6 +516,35 @@ class TestAccountantKernel:
         assert subject.sampled().records == reference.sampled().records
         assert subject.store.snapshot() == reference.store.snapshot()
 
+    def test_flows_seam_forces_the_accountant(self, minute_trace, per_packet):
+        """The ``flows`` seam reaches the live accountant: under it,
+        ``run_monitor`` sends every chunk of both sides through the
+        per-packet ``_fallback``, and the run ends with the default
+        run's flows and ``flow_cache_*`` metrics."""
+
+        def run():
+            accountant = StreamFlowAccountant()
+            spy = mock.Mock(wraps=chunked.account_chunk)
+            with mock.patch.object(chunked, "account_chunk", spy):
+                run_monitor(
+                    iter_trace_chunks(minute_trace, chunk_packets=2048),
+                    chunk_kernel_for(StreamingStratified(50, rng=np.random.default_rng(3))),
+                    QualityMonitor(window_us=10_000_000),
+                    accountant=accountant,
+                )
+            accountant.flush()
+            return accountant, spy.call_count
+
+        default, default_calls = run()
+        with per_packet("flows"):
+            assert chunked.account_chunk is chunked._fallback
+            forced, forced_calls = run()
+        chunks = -(-len(minute_trace) // 2048)
+        assert forced_calls == default_calls > chunks
+        assert forced.parent().records == default.parent().records
+        assert forced.sampled().records == default.sampled().records
+        assert forced.store.snapshot() == default.store.snapshot()
+
     def test_mask_shape_checked(self, tiny_trace):
         accountant = StreamFlowAccountant()
         with pytest.raises(ValueError, match="keep mask"):

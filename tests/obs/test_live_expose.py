@@ -80,6 +80,13 @@ class TestTextfileExporter:
         # No temp file is left behind after the rename.
         assert os.listdir(path.parent) == ["monitor.prom"]
 
+    def test_unwritable_path_names_the_target(self, tmp_path):
+        (tmp_path / "file").write_text("not a directory")
+        path = str(tmp_path / "file" / "monitor.prom")
+        with pytest.raises(NotADirectoryError) as excinfo:
+            TextfileExporter(path).write("")
+        assert excinfo.value.filename == path
+
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
             TextfileExporter("")

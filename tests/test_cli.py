@@ -281,7 +281,7 @@ class TestErrorPaths:
             (["adapt", "{trace}", "--csv", "{missing}/x.csv"], "{missing}/x.csv"),
             (["experiment", "{trace}", "--save", "{missing}/x.csv"] + SMALL_GRID, "{missing}/x.csv"),
             (["experiment", "{trace}", "--run-dir", "{file}/run"] + SMALL_GRID, "{file}/run"),
-            (["monitor", "{trace}", "--metrics-out", "{file}/x.prom"], "{file}"),
+            (["monitor", "{trace}", "--metrics-out", "{file}/x.prom"], "{file}/x.prom"),
             (["monitor", "{trace}", "--run-dir", "{file}/run"], "{file}/run"),
             (["--trace-cache", "{file}/cache", "describe", "{trace}"], "{file}/cache"),
             (["--trace-cache", "{file}/cache", "cache", "{trace}", "build"], "{file}/cache"),

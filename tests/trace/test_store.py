@@ -13,6 +13,7 @@ import io
 import json
 import os
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.instrument import Instrumentation
-from repro.trace import store
+from repro.trace import pcap, store
 from repro.trace.pcap import (
     LINKTYPE_RAW,
     PCAP_MAGIC,
@@ -394,6 +395,48 @@ class TestFastpathFallback:
             read_pcap(io.BytesIO(b"\x00" * 24))
 
 
+@st.composite
+def writer_traces(draw):
+    """Up to 60 packets over TCP, UDP, ICMP and two protocols with no
+    transport header, with any nets and ports; sometimes one size past
+    the IPv4 total-length field, or timestamps past the 32-bit seconds
+    field from some packet on."""
+    n = draw(st.integers(min_value=0, max_value=60))
+    u16 = st.lists(st.integers(0, 0xFFFF), min_size=n, max_size=n)
+    sizes = draw(st.lists(st.integers(0, 1600), min_size=n, max_size=n))
+    timestamps = sorted(
+        draw(st.lists(st.integers(0, 10**7), min_size=n, max_size=n))
+    )
+    if n and draw(st.booleans()):
+        at = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            sizes[at] = draw(st.sampled_from([65_536, 70_000]))
+        else:
+            timestamps[at:] = [ts + (1 << 32) * 1_000_000 for ts in timestamps[at:]]
+    return Trace(
+        timestamps_us=timestamps,
+        sizes=sizes,
+        protocols=draw(
+            st.lists(st.sampled_from([1, 6, 17, 0, 50]), min_size=n, max_size=n)
+        ),
+        src_nets=draw(u16),
+        dst_nets=draw(u16),
+        src_ports=draw(u16),
+        dst_ports=draw(u16),
+    )
+
+
+def write_outcome(trace: Trace, snaplen: int):
+    """The bytes ``write_pcap`` writes, then the type and message of its
+    error (``None`` when it writes the whole trace)."""
+    buffer = io.BytesIO()
+    try:
+        write_pcap(trace, buffer, snaplen=snaplen)
+    except Exception as error:
+        return buffer.getvalue(), (type(error), str(error))
+    return buffer.getvalue(), None
+
+
 class TestVectorizedWriter:
     """write_pcap's vectorized encoder against the per-packet loop."""
 
@@ -423,6 +466,38 @@ class TestVectorizedWriter:
         fast = pcap_bytes(Trace.empty())
         with per_packet("encode"):
             assert pcap_bytes(Trace.empty()) == fast
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        trace=writer_traces(),
+        snaplen=st.integers(min_value=40, max_value=200),
+        rows=st.integers(min_value=1, max_value=70),
+    )
+    def test_chunked_write_matches_reference(self, per_packet, trace, snaplen, rows):
+        """Any chunking writes the per-record writer's bytes and raises
+        its error: chunks of at most ``rows`` packets (the budget is
+        ``rows`` rows of the narrowest width), records with no transport
+        header, and out-of-range sizes and timestamps that send a chunk
+        to the per-record loop."""
+        with per_packet("encode"):
+            expected = write_outcome(trace, snaplen)
+        with mock.patch.object(pcap, "WRITE_BLOCK_BYTES", rows * 56):
+            assert write_outcome(trace, snaplen) == expected
+
+    def test_peak_memory_grows_with_the_chunk_not_the_file(self):
+        hour = nsfnet_hour_trace(seed=1993, duration_s=3600)
+
+        def peak(packets: int) -> int:
+            trace = hour.slice_packets(0, packets)
+            tracemalloc.start()
+            try:
+                write_pcap(trace, os.devnull)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(100_000), peak(400_000)
+        assert large <= 1.5 * small, (small, large)
 
 
 class TestTraceStore:
