@@ -45,7 +45,7 @@ import numpy as np
 from repro.adaptive.controller import AdaptiveController, Decision
 from repro.core.sampling.factory import make_selector
 from repro.core.sampling.timer import mean_interarrival_us
-from repro.core.metrics.phi import phi_coefficient
+from repro.core.metrics.registry import evaluate_all
 from repro.obs.live.monitor import QualityMonitor, WindowStats
 from repro.trace.trace import Trace
 
@@ -240,11 +240,11 @@ class AdaptiveRunResult:
         sampled = histograms.get("%s_sampled" % safe)
         if parent is None or sampled is None or parent.total == 0:
             return None
-        support = parent.counts > 0
-        if int(support.sum()) < 2:
-            return 0.0
-        proportions = parent.counts[support] / float(parent.total)
-        return float(phi_coefficient(sampled.counts[support], proportions))
+        return evaluate_all(
+            sampled.counts,
+            parent.counts / float(parent.total),
+            sampled.total / parent.total,
+        ).phi
 
 
 def run_adaptive(

@@ -114,19 +114,16 @@ def score_categorical(
 ) -> DisparityScores:
     """Score a sampled sub-population on a categorical target.
 
-    Categories whose population proportion is zero are excluded (the
-    chi-square machinery requires support agreement; an all-zero
-    category carries no information).
+    ``proportions`` are the parent's own, which the sample's counts
+    are scored against as they are: a category the population lacks
+    holds no sampled packet either, and scores nothing.
     """
     if proportions is None:
         proportions = target.proportions(trace)
     observed = target.counts(trace, result.indices)
-    support = proportions > 0
-    if not np.any(support):
+    if not np.any(proportions > 0):
         raise ValueError("population has no occupied categories")
-    props = proportions[support]
-    props = props / props.sum()
-    return evaluate_all(observed[support], props, fraction=result.fraction)
+    return evaluate_all(observed, proportions, fraction=result.fraction)
 
 
 def estimate_proportions(

@@ -16,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.evaluation.targets import CharacterizationTarget
-from repro.core.metrics.phi import phi_coefficient
+from repro.core.metrics.registry import evaluate_all
 from repro.core.sampling.base import SamplingResult
 from repro.trace.trace import Trace
 
@@ -45,6 +45,9 @@ def fidelity_series(
     min_sampled: int = 10,
 ) -> List[FidelityPoint]:
     """Per-window phi of the sample against each window's population.
+
+    Each window is one :func:`~repro.core.metrics.evaluate_all` call, as
+    in :class:`~repro.obs.live.QualityMonitor`, so their phi are equal.
 
     Parameters
     ----------
@@ -90,12 +93,11 @@ def fidelity_series(
             population_values.size >= min_sampled
             and sampled_values.size >= min_sampled
         ):
-            proportions = target.bins.proportions(population_values)
-            observed = target.bins.counts(sampled_values)
-            support = proportions > 0
-            if np.any(support):
-                props = proportions[support] / proportions[support].sum()
-                phi = phi_coefficient(observed[support], props)
+            phi = evaluate_all(
+                target.bins.counts(sampled_values),
+                target.bins.proportions(population_values),
+                sampled_values.size / population_values.size,
+            ).phi
         points.append(
             FidelityPoint(
                 start_us=start,

@@ -14,7 +14,13 @@ sampled distribution reflects the population over a fixed set of bins:
 All metrics consume the same inputs: observed bin counts of the sample
 and the parent population's bin *proportions* (the paper uses the
 actual parent parameters rather than estimates, since the parent is
-fully known).
+fully known).  One private routine validates that pair and builds the
+expected counts ``E = p * n`` once, and each metric is one formula
+over it, so every metric raises the same ``ValueError`` for invalid
+input, empty sample or not: :func:`expected_counts`'s checks, then
+one count per bin, then none in a zero-proportion bin.  An empty
+sample scores 0 (significance 1); relative cost's fraction is checked
+only for a non-empty one.
 """
 
 from repro.core.metrics.bins import (

@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.stats.histogram import bin_counts, bin_proportions
+from repro.stats.histogram import _validated_edges, bin_counts, bin_proportions
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,7 @@ class BinSpec:
     unit: str = ""
 
     def __post_init__(self) -> None:
-        if not self.edges:
-            raise ValueError("a bin specification needs at least one edge")
-        if any(b <= a for a, b in zip(self.edges, self.edges[1:])):
-            raise ValueError("bin edges must be strictly increasing")
+        _validated_edges(self.edges)
 
     @property
     def n_bins(self) -> int:

@@ -30,6 +30,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.metrics.chisquare import expected_counts
 from repro.core.metrics.phi import phi_coefficient
 
 #: Default resampling effort: enough for stable 5%/95% quantiles.
@@ -48,10 +49,7 @@ def phi_null_samples(
     with the population's proportions and scores the result with phi.
     """
     props = np.asarray(population_proportions, dtype=np.float64)
-    if props.ndim != 1 or props.size < 2:
-        raise ValueError("need at least two bin proportions")
-    if not np.isclose(props.sum(), 1.0, atol=1e-9):
-        raise ValueError("bin proportions must sum to 1")
+    expected_counts(props, sample_size)  # the metrics' proportion checks
     if sample_size < 1:
         raise ValueError("sample size must be positive")
     if n_resamples < 1:

@@ -10,7 +10,7 @@ significance level comes from the chi-square survival function.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +34,48 @@ def expected_counts(
     return props * float(sample_size)
 
 
+class _Pair(NamedTuple):
+    """A sample's counts O, its parent's E = p * n, n, and B = #(p > 0)."""
+
+    observed: np.ndarray
+    proportions: np.ndarray
+    expected: np.ndarray
+    size: int
+    occupied: int
+
+
+def _pair(
+    observed: Sequence[float], population_proportions: Sequence[float]
+) -> _Pair:
+    """Validate a sample against its parent, empty or not, and build E once.
+
+    The sample cannot contain what the parent lacks: no count where E = 0.
+    """
+    obs = np.asarray(observed, dtype=np.float64)
+    size = int(obs.sum())
+    props = np.asarray(population_proportions, dtype=np.float64)
+    expected = expected_counts(props, size)
+    if obs.shape != expected.shape:
+        raise ValueError(
+            "observed has %d bins, proportions %d" % (obs.size, expected.size)
+        )
+    if np.any(obs[expected == 0] > 0):
+        raise ValueError(
+            "observed counts in bins with zero population proportion"
+        )
+    return _Pair(obs, props, expected, size, int((props > 0).sum()))
+
+
+def _chi2(pair: _Pair) -> float:
+    scored = pair.expected > 0
+    expected = pair.expected[scored]
+    return float(((pair.observed[scored] - expected) ** 2 / expected).sum())
+
+
+def _significance(statistic: float, dof: int) -> float:
+    return chi2_sf(statistic, dof) if dof >= 1 else 1.0
+
+
 def chi_square(
     observed: Sequence[float], population_proportions: Sequence[float]
 ) -> float:
@@ -43,19 +85,7 @@ def chi_square(
     sample cannot contain what the population lacks); such bins
     contribute nothing.
     """
-    obs = np.asarray(observed, dtype=np.float64)
-    expected = expected_counts(population_proportions, int(obs.sum()))
-    if obs.shape != expected.shape:
-        raise ValueError(
-            "observed has %d bins, proportions %d" % (obs.size, expected.size)
-        )
-    empty = expected == 0
-    if np.any(obs[empty] > 0):
-        raise ValueError(
-            "observed counts in bins with zero population proportion"
-        )
-    safe = ~empty
-    return float(((obs[safe] - expected[safe]) ** 2 / expected[safe]).sum())
+    return _chi2(_pair(observed, population_proportions))
 
 
 def chi_square_significance(
@@ -69,12 +99,8 @@ def chi_square_significance(
     support-respecting sample matches it trivially, so the
     significance is 1.
     """
-    props = np.asarray(population_proportions, dtype=np.float64)
-    statistic = chi_square(observed, population_proportions)
-    dof = int((props > 0).sum()) - 1
-    if dof < 1:
-        return 1.0
-    return chi2_sf(statistic, dof)
+    pair = _pair(observed, population_proportions)
+    return _significance(_chi2(pair), pair.occupied - 1)
 
 
 @dataclass(frozen=True)
@@ -105,10 +131,9 @@ def chi_square_test(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1), got %r" % (alpha,))
-    props = np.asarray(population_proportions, dtype=np.float64)
-    dof = int((props > 0).sum()) - 1
-    statistic = chi_square(observed, population_proportions)
-    significance = chi2_sf(statistic, dof) if dof >= 1 else 1.0
+    pair = _pair(observed, population_proportions)
+    statistic, dof = _chi2(pair), pair.occupied - 1
+    significance = _significance(statistic, dof)
     return ChiSquareTest(
         statistic=statistic, dof=dof, significance=significance, alpha=alpha
     )

@@ -21,7 +21,28 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.metrics.chisquare import expected_counts
+from repro.core.metrics.chisquare import _pair, _Pair
+
+
+def _cost(pair: _Pair, population_size: int = 0, scale_up: bool = False) -> float:
+    if not scale_up:
+        return float(np.abs(pair.observed - pair.expected).sum())
+    if population_size <= 0:
+        raise ValueError("scale_up requires the population size")
+    if pair.size == 0:
+        raise ValueError("cannot scale up an empty sample")
+    factor = population_size / pair.size
+    expected = pair.proportions * float(population_size)
+    return float(np.abs(pair.observed * factor - expected).sum())
+
+
+def _relative_cost(pair: _Pair, cost_value: float, fraction: float) -> float:
+    """``fraction * cost``; an empty sample's is 0 at any fraction."""
+    if pair.size == 0:
+        return 0.0
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("fraction must be in (0, 1], got %r" % (fraction,))
+    return fraction * cost_value
 
 
 def cost(
@@ -37,18 +58,7 @@ def cost(
     population's own counts, which is the billing interpretation
     (estimated total traffic vs. real total traffic).
     """
-    obs = np.asarray(observed, dtype=np.float64)
-    sample_size = int(obs.sum())
-    if scale_up:
-        if population_size <= 0:
-            raise ValueError("scale_up requires the population size")
-        if sample_size == 0:
-            raise ValueError("cannot scale up an empty sample")
-        factor = population_size / sample_size
-        expected = expected_counts(population_proportions, population_size)
-        return float(np.abs(obs * factor - expected).sum())
-    expected = expected_counts(population_proportions, sample_size)
-    return float(np.abs(obs - expected).sum())
+    return _cost(_pair(observed, population_proportions), population_size, scale_up)
 
 
 def relative_cost(
@@ -62,13 +72,7 @@ def relative_cost(
 
     ``fraction`` is the achieved sampling fraction (sample size over
     population size); smaller fractions earn a proportional discount
-    for the resources they save.
+    for the resources they save; an empty sample's is 0 at any fraction.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1], got %r" % (fraction,))
-    return fraction * cost(
-        observed,
-        population_proportions,
-        population_size=population_size,
-        scale_up=scale_up,
-    )
+    pair = _pair(observed, population_proportions)
+    return _relative_cost(pair, _cost(pair, population_size, scale_up), fraction)

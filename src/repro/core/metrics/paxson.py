@@ -8,36 +8,29 @@ which remains invariant with increasing sample size, and the derived
 import math
 from typing import Sequence
 
-import numpy as np
+from repro.core.metrics.chisquare import _pair, _Pair
 
-from repro.core.metrics.chisquare import expected_counts
+
+def _x2(pair: _Pair) -> float:
+    scored = pair.expected > 0
+    expected = pair.expected[scored]
+    return float((((pair.observed[scored] - expected) / expected) ** 2).sum())
+
+
+def _normalized_deviation(pair: _Pair, x2: float) -> float:
+    return math.sqrt(x2 / pair.occupied)
 
 
 def x_square(
     observed: Sequence[float], population_proportions: Sequence[float]
 ) -> float:
     """X2 = sum (O_i - E_i)^2 / E_i^2 with E at sample scale."""
-    obs = np.asarray(observed, dtype=np.float64)
-    expected = expected_counts(population_proportions, int(obs.sum()))
-    if obs.shape != expected.shape:
-        raise ValueError(
-            "observed has %d bins, proportions %d" % (obs.size, expected.size)
-        )
-    empty = expected == 0
-    if np.any(obs[empty] > 0):
-        raise ValueError(
-            "observed counts in bins with zero population proportion"
-        )
-    safe = ~empty
-    return float((((obs[safe] - expected[safe]) / expected[safe]) ** 2).sum())
+    return _x2(_pair(observed, population_proportions))
 
 
 def normalized_deviation(
     observed: Sequence[float], population_proportions: Sequence[float]
 ) -> float:
     """k = sqrt(X2 / B): average normalized deviation across bins."""
-    props = np.asarray(population_proportions, dtype=np.float64)
-    n_bins = int((props > 0).sum())
-    if n_bins == 0:
-        raise ValueError("need at least one non-empty bin")
-    return math.sqrt(x_square(observed, population_proportions) / n_bins)
+    pair = _pair(observed, population_proportions)
+    return _normalized_deviation(pair, _x2(pair))

@@ -15,9 +15,13 @@ parent population"; larger values correspond to poorer samples
 import math
 from typing import Sequence
 
-import numpy as np
+from repro.core.metrics.chisquare import _chi2, _pair, _Pair
 
-from repro.core.metrics.chisquare import chi_square, expected_counts
+
+def _phi(pair: _Pair, chi2: float) -> float:
+    if pair.size == 0:
+        return 0.0
+    return math.sqrt(chi2 / float(pair.expected.sum() + pair.observed.sum()))
 
 
 def phi_coefficient(
@@ -28,11 +32,5 @@ def phi_coefficient(
     Returns 0 for an empty sample by convention (an empty sample has
     no measurable disparity — and no information).
     """
-    obs = np.asarray(observed, dtype=np.float64)
-    sample_size = int(obs.sum())
-    if sample_size == 0:
-        return 0.0
-    statistic = chi_square(obs, population_proportions)
-    expected = expected_counts(population_proportions, sample_size)
-    n = float(expected.sum() + obs.sum())
-    return math.sqrt(statistic / n)
+    pair = _pair(observed, population_proportions)
+    return _phi(pair, _chi2(pair))

@@ -1,20 +1,18 @@
 """Evaluate every disparity metric at once.
 
 Figure 3 of the paper plots all the Section 5.2 metrics side by side
-as a function of sampling granularity.  :func:`evaluate_all` computes
-them from one (observed counts, population proportions) pair, and
-:class:`DisparityScores` carries the named results.
+as a function of sampling granularity.  :func:`evaluate_all` validates
+one (observed counts, population proportions) pair once and computes
+them all from it, and :class:`DisparityScores` carries the named results.
 """
 
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-import numpy as np
-
-from repro.core.metrics.chisquare import chi_square, chi_square_significance
-from repro.core.metrics.cost import cost, relative_cost
-from repro.core.metrics.paxson import normalized_deviation, x_square
-from repro.core.metrics.phi import phi_coefficient
+from repro.core.metrics.chisquare import _chi2, _pair, _significance
+from repro.core.metrics.cost import _cost, _relative_cost
+from repro.core.metrics.paxson import _normalized_deviation, _x2
+from repro.core.metrics.phi import _phi
 
 #: Metric identifiers, in Figure 3's legend order.
 METRIC_NAMES = (
@@ -67,6 +65,8 @@ def evaluate_all(
 ) -> DisparityScores:
     """Compute every Section 5.2 metric for one sample.
 
+    Each field equals its metric's own function, value or error.
+
     Parameters
     ----------
     observed:
@@ -75,32 +75,21 @@ def evaluate_all(
         The parent population's bin proportions (actual, not
         estimated: the parent is fully known in this methodology).
     fraction:
-        Achieved sampling fraction, needed by relative cost.
+        Achieved sampling fraction, needed by relative cost; checked
+        only for a non-empty sample.
     """
-    obs = np.asarray(observed, dtype=np.float64)
-    sample_size = int(obs.sum())
-    if sample_size == 0:
-        # An empty sample carries no disparity (and no information);
-        # every metric is zero by convention and nothing is rejectable.
-        return DisparityScores(
-            chi2=0.0,
-            significance=1.0,
-            cost=0.0,
-            rcost=0.0,
-            x2=0.0,
-            k=0.0,
-            phi=0.0,
-            sample_size=0,
-            fraction=fraction,
-        )
+    pair = _pair(observed, population_proportions)
+    chi2 = _chi2(pair)
+    l1 = _cost(pair)
+    x2 = _x2(pair)
     return DisparityScores(
-        chi2=chi_square(obs, population_proportions),
-        significance=chi_square_significance(obs, population_proportions),
-        cost=cost(obs, population_proportions),
-        rcost=relative_cost(obs, population_proportions, fraction),
-        x2=x_square(obs, population_proportions),
-        k=normalized_deviation(obs, population_proportions),
-        phi=phi_coefficient(obs, population_proportions),
-        sample_size=sample_size,
+        chi2=chi2,
+        significance=_significance(chi2, pair.occupied - 1),
+        cost=l1,
+        rcost=_relative_cost(pair, l1, fraction),
+        x2=x2,
+        k=_normalized_deviation(pair, x2),
+        phi=_phi(pair, chi2),
+        sample_size=pair.size,
         fraction=fraction,
     )

@@ -43,9 +43,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.metrics.bins import BinSpec
-from repro.core.metrics.chisquare import chi_square_significance
-from repro.core.metrics.cost import cost
-from repro.core.metrics.phi import phi_coefficient
+from repro.core.metrics.registry import evaluate_all
 from repro.flows.sampled import FLOW_SIZE_BINS
 
 
@@ -396,13 +394,17 @@ def score_estimate(
             "parent occupies fewer than two comparison bins; "
             "choose finer bins or a smaller min_size"
         )
-    proportions = parent_counts[support] / float(parent_counts.sum())
-    observed = observed[support]
+    # The estimate is a full-scale count, not a subsample of the parent.
+    scores = evaluate_all(
+        observed[support],
+        parent_counts[support] / float(parent_counts.sum()),
+        fraction=1.0,
+    )
     return EstimateScore(
         method=estimate.method,
-        phi=phi_coefficient(observed, proportions),
-        l1_cost=cost(observed, proportions),
-        chi2_significance=chi_square_significance(observed, proportions),
+        phi=scores.phi,
+        l1_cost=scores.cost,
+        chi2_significance=scores.significance,
     )
 
 

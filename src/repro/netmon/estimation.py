@@ -20,7 +20,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.core.metrics.phi import phi_coefficient
+from repro.core.metrics.registry import evaluate_all
 
 
 def scale_up_counts(counts: Dict, granularity: int) -> Dict:
@@ -66,6 +66,5 @@ def object_phi(full_counts: Dict, sampled_counts: Dict) -> float:
         raise ValueError(
             "sampled object has counts in categories the full object lacks"
         )
-    support = full > 0
-    proportions = full[support] / total
-    return phi_coefficient(sampled[support], proportions)
+    # Only phi is read, and phi does not depend on the fraction.
+    return evaluate_all(sampled, full / total, fraction=1.0).phi

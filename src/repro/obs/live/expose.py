@@ -15,6 +15,7 @@ monitor's registry, the same text a run directory's ``metrics.prom``
 holds.
 """
 
+import contextlib
 import errno
 import os
 import threading
@@ -42,14 +43,18 @@ class TextfileExporter:
 
         A missing parent directory is created.  A path that cannot be
         written raises :class:`OSError` naming the path itself, not the
-        parent directory or temporary file the failing call touched.
+        parent directory or temporary file the failing call touched
+        (which this call removes if it created it).
         """
         temp_path = self.path + ".tmp"
+        temp_exists = False
         try:
             os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
             with open(temp_path, "w") as stream:
+                temp_exists = True
                 stream.write(text)
             os.replace(temp_path, self.path)
+            temp_exists = False
         except FileExistsError as error:
             # makedirs met a file where the parent directory must be.
             raise NotADirectoryError(
@@ -57,6 +62,10 @@ class TextfileExporter:
             ) from error
         except OSError as error:
             raise OSError(error.errno, error.strerror, self.path) from error
+        finally:
+            if temp_exists:
+                with contextlib.suppress(OSError):
+                    os.remove(temp_path)
         self.writes += 1
         return self.path
 

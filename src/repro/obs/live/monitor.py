@@ -18,7 +18,8 @@ packet's arrival, each window's sample is scored against that window's
 own population, the interarrival attribute of a packet is its
 *predecessor gap* in the parent stream (the reading that exposes
 timer-driven bias), and windows too thin to score report ``None``
-rather than noise.
+rather than noise.  Both score a window with one
+:func:`~repro.core.metrics.evaluate_all` call, so their φ are equal.
 
 The monitor is passive: it never touches an RNG and never influences
 the keep/skip decision, so an instrumented run is bit-identical to an
@@ -37,9 +38,7 @@ from repro.core.metrics.bins import (
     INTERARRIVAL_BINS_US,
     PACKET_SIZE_BINS,
 )
-from repro.core.metrics.chisquare import chi_square_significance
-from repro.core.metrics.cost import cost
-from repro.core.metrics.phi import phi_coefficient
+from repro.core.metrics.registry import evaluate_all
 from repro.obs.instrument import Instrumentation
 from repro.stats.streams import RunningHistogram
 
@@ -98,36 +97,6 @@ class _WindowTarget:
     def reset(self) -> None:
         self.parent = RunningHistogram(self.bins.edges)
         self.sampled = RunningHistogram(self.bins.edges)
-
-
-def _score_window(
-    parent_counts: np.ndarray,
-    sampled_counts: np.ndarray,
-    min_scored: int,
-) -> Tuple[Optional[float], Optional[float], Optional[float]]:
-    """(φ, χ² significance, l₁ cost) of a window, or ``None`` triple.
-
-    The parent proportions are taken over the window's own population,
-    restricted to occupied bins (a sampled packet can only land in a
-    bin its parent occupies, so the restriction loses nothing).  A
-    window whose parent or sample is thinner than ``min_scored``
-    defined values is reported unscored rather than wildly noisy.
-    """
-    parent_total = int(parent_counts.sum())
-    sampled_total = int(sampled_counts.sum())
-    if parent_total < min_scored or sampled_total < min_scored:
-        return None, None, None
-    support = parent_counts > 0
-    if int(support.sum()) < 2:
-        # A single occupied bin: any support-respecting sample matches
-        # the parent trivially (cf. chi_square_significance).
-        return 0.0, 1.0, 0.0
-    proportions = parent_counts[support] / float(parent_total)
-    observed = sampled_counts[support]
-    phi = phi_coefficient(observed, proportions)
-    significance = chi_square_significance(observed, proportions)
-    l1 = cost(observed, proportions)
-    return phi, significance, l1
 
 
 class QualityMonitor:
@@ -341,12 +310,18 @@ class QualityMonitor:
         end = start + self.window_us
         metrics: Dict[str, Optional[float]] = {}
         for target in self._targets:
-            phi, significance, l1 = _score_window(
-                target.parent.counts, target.sampled.counts, self.min_scored
-            )
-            metrics["phi[%s]" % target.name] = phi
-            metrics["chi2_p[%s]" % target.name] = significance
-            metrics["cost[%s]" % target.name] = l1
+            parent_total = target.parent.total
+            sampled_total = target.sampled.total
+            scores: Tuple[Optional[float], ...] = (None, None, None)
+            if min(parent_total, sampled_total) >= self.min_scored:
+                window = evaluate_all(
+                    target.sampled.counts,
+                    target.parent.counts / float(parent_total),
+                    sampled_total / parent_total,
+                )
+                scores = (window.phi, window.significance, window.cost)
+            for key, value in zip(("phi", "chi2_p", "cost"), scores):
+                metrics["%s[%s]" % (key, target.name)] = value
         metrics["sampled_fraction"] = (
             self._sampled / self._offered if self._offered else None
         )

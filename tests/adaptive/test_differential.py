@@ -17,6 +17,7 @@ from repro.adaptive import (
     ControllerConfig,
     run_adaptive,
 )
+from repro.core.metrics.registry import evaluate_all
 from repro.fastpath.pipeline import iter_trace_chunks
 from repro.obs.live.monitor import QualityMonitor
 
@@ -171,6 +172,20 @@ class TestRunShape:
         assert result.aggregate_phi("packet-size") is not None
         used = result.granularities_used()
         assert len(used) >= 2 and used[0] == 64
+
+    def test_aggregate_phi_is_evaluate_all_of_the_run_totals(self, bursty_trace):
+        result = adaptive_run(bursty_trace, "systematic", fastpath=True)
+        histograms = result.monitor.store.histograms()
+        for target in ("packet-size", "interarrival"):
+            safe = target.replace("-", "_")
+            parent = histograms[safe + "_parent"]
+            sampled = histograms[safe + "_sampled"]
+            scores = evaluate_all(
+                sampled.counts,
+                parent.counts / float(parent.total),
+                sampled.total / parent.total,
+            )
+            assert result.aggregate_phi(target) == scores.phi
 
     def test_decisions_line_up_with_windows(self, bursty_trace):
         result = adaptive_run(bursty_trace, "systematic", fastpath=True)

@@ -10,6 +10,7 @@ from repro.analysis.proportions import (
     protocol_target,
     score_categorical,
 )
+from repro.core.metrics.registry import evaluate_all
 from repro.core.sampling.simple import SimpleRandomSampler
 from repro.core.sampling.systematic import SystematicSampler
 from repro.trace.trace import Trace
@@ -86,6 +87,16 @@ class TestScoring:
         result = SystematicSampler(granularity=50).sample(minute_trace)
         scores = score_categorical(minute_trace, result, port_target())
         assert 0 <= scores.phi < 0.1
+
+    @pytest.mark.parametrize("make_target", [protocol_target, port_target])
+    def test_is_evaluate_all_of_the_category_counts(self, minute_trace, make_target):
+        target = make_target()
+        result = SystematicSampler(granularity=50).sample(minute_trace)
+        assert score_categorical(minute_trace, result, target) == evaluate_all(
+            target.counts(minute_trace, result.indices),
+            target.proportions(minute_trace),
+            result.fraction,
+        )
 
     def test_precomputed_proportions(self, minute_trace, rng):
         target = protocol_target()

@@ -48,3 +48,5 @@ class TestBinSpec:
             BinSpec(name="x", edges=(5, 5))
         with pytest.raises(ValueError, match="increasing"):
             BinSpec(name="x", edges=(10, 5))
+        with pytest.raises(ValueError, match="increasing"):
+            BinSpec(name="x", edges=(5.0, float("nan")))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.metrics.registry import evaluate_all
 from repro.core.sampling.factory import make_sampler
 from repro.flows.inversion import (
     FlowSizeEstimate,
@@ -202,6 +203,25 @@ class TestScoring:
         full = score_estimate(estimate, parent)
         tail = score_estimate(estimate, parent, min_size=64)
         assert full.phi != tail.phi
+
+    def test_is_evaluate_all_on_the_parent_support(self, rng):
+        parent = rng.integers(1, 1000, size=5_000)
+        estimate = naive_estimate(
+            rng.integers(1, 10, size=200).tolist(), granularity=100
+        )
+        parent_counts = FLOW_SIZE_BINS.counts(parent)
+        support = parent_counts > 0
+        scores = evaluate_all(
+            estimate.bin_counts(FLOW_SIZE_BINS)[support],
+            parent_counts[support] / float(parent_counts.sum()),
+            1.0,
+        )
+        score = score_estimate(estimate, parent)
+        assert (score.phi, score.l1_cost, score.chi2_significance) == (
+            scores.phi,
+            scores.cost,
+            scores.significance,
+        )
 
     def test_needs_two_occupied_bins(self):
         estimate = naive_estimate([1, 2], granularity=10)

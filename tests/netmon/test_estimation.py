@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.metrics.registry import evaluate_all
 from repro.netmon.arts import ArtsCollector
 from repro.netmon.estimation import aligned_counts, object_phi, scale_up_counts
 from repro.netmon.objects import PortDistribution, ProtocolDistribution
@@ -54,6 +55,13 @@ class TestObjectPhi:
         full = {"TCP": 990, "ICMP": 10}
         sampled = {"TCP": 10}  # the rare category missed entirely
         assert object_phi(full, sampled) > 0.0
+
+    def test_is_evaluate_all_of_the_aligned_counts(self):
+        full = {"TCP": 800, "UDP": 150, "ICMP": 50}
+        sampled = {"TCP": 70, "UDP": 20}
+        # Aligned in sorted-key order: ICMP, TCP, UDP.
+        scores = evaluate_all([0, 70, 20], np.array([50, 800, 150]) / 1000.0, 1.0)
+        assert object_phi(full, sampled) == scores.phi
 
     def test_unknown_category_rejected(self):
         with pytest.raises(ValueError, match="lacks"):

@@ -87,6 +87,14 @@ class TestTextfileExporter:
             TextfileExporter(path).write("")
         assert excinfo.value.filename == path
 
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "target.prom"
+        target.mkdir()
+        with pytest.raises(OSError) as excinfo:
+            TextfileExporter(str(target)).write("x 1\n")
+        assert excinfo.value.filename == str(target)
+        assert os.listdir(tmp_path) == ["target.prom"]
+
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
             TextfileExporter("")

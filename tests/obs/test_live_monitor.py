@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.temporal import fidelity_series
 from repro.core.evaluation.targets import (
     INTERARRIVAL_TARGET,
     PACKET_SIZE_TARGET,
 )
+from repro.core.metrics.registry import evaluate_all
+from repro.core.sampling.base import SamplingResult
 from repro.core.sampling.streaming import StreamingSystematic
 from repro.core.sampling.systematic import SystematicSampler
 from repro.obs.live import (
@@ -38,8 +42,49 @@ def drive(monitor, trace, kept_mask):
     return windows
 
 
+def assert_scores_match_batch(trace, kept, stats, target):
+    """Each window scores what the batch path scores, under ``==``.
+
+    φ is :func:`fidelity_series`'s; χ²-p and cost are
+    :func:`evaluate_all`'s on the window's own parent and sample counts.
+    """
+    result = SamplingResult(
+        indices=np.flatnonzero(kept),
+        population_size=len(trace),
+        method="mask",
+        parameters={},
+    )
+    points = fidelity_series(trace, result, target, WINDOW_US)
+    assert len(stats) == len(points)
+    values = target.attribute_values(trace)
+    for window, point in zip(stats, points):
+        assert (window.start_us, window.end_us) == (point.start_us, point.end_us)
+        assert window.get("phi[%s]" % target.name) == point.phi
+        lo, hi = np.searchsorted(trace.timestamps_us, [point.start_us, point.end_us])
+        defined = ~np.isnan(values[lo:hi])
+        parent = values[lo:hi][defined]
+        sampled = values[lo:hi][defined & kept[lo:hi]]
+        expected = (None, None)
+        if point.phi is not None:
+            scores = evaluate_all(
+                target.bins.counts(sampled),
+                target.bins.proportions(parent),
+                sampled.size / parent.size,
+            )
+            expected = (scores.significance, scores.cost)
+        assert (
+            window.get("chi2_p[%s]" % target.name),
+            window.get("cost[%s]" % target.name),
+        ) == expected
+
+
+TARGETS = pytest.mark.parametrize(
+    "target", [PACKET_SIZE_TARGET, INTERARRIVAL_TARGET], ids=lambda t: t.name
+)
+
+
 class TestBatchEquivalence:
-    """The monitor's windows must match fidelity_series point-for-point."""
+    """The monitor's windows must match the batch path point-for-point."""
 
     @pytest.fixture(scope="class")
     def windows(self, minute_trace):
@@ -47,23 +92,36 @@ class TestBatchEquivalence:
         kept = np.zeros(len(minute_trace), dtype=bool)
         kept[result.indices] = True
         monitor = QualityMonitor(window_us=WINDOW_US)
-        return result, drive(monitor, minute_trace, kept)
+        return kept, drive(monitor, minute_trace, kept)
 
-    @pytest.mark.parametrize(
-        "target", [PACKET_SIZE_TARGET, INTERARRIVAL_TARGET], ids=lambda t: t.name
-    )
+    @TARGETS
     def test_phi_matches_fidelity_series(self, minute_trace, windows, target):
-        result, stats = windows
-        points = fidelity_series(minute_trace, result, target, WINDOW_US)
-        assert len(stats) == len(points)
-        key = "phi[%s]" % target.name
-        for window, point in zip(stats, points):
-            assert window.start_us == point.start_us
-            assert window.end_us == point.end_us
-            if point.phi is None:
-                assert window.get(key) is None
-            else:
-                assert window.get(key) == pytest.approx(point.phi, rel=1e-9)
+        kept, stats = windows
+        assert_scores_match_batch(minute_trace, kept, stats, target)
+
+    @TARGETS
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        granularity=st.sampled_from([2, 8, 50, 256]),
+    )
+    def test_random_keep_mask_scores_match_batch(
+        self, minute_trace, target, seed, granularity
+    ):
+        rng = np.random.default_rng(seed)
+        kept = rng.random(len(minute_trace)) < 1.0 / granularity
+        monitor = QualityMonitor(window_us=WINDOW_US)
+        stats = []
+        monitor.observe_chunk(
+            minute_trace.timestamps_us,
+            minute_trace.sizes,
+            lambda lo, hi: kept[lo:hi],
+            on_close=stats.append,
+        )
+        final = monitor.flush()
+        if final is not None:
+            stats.append(final)
+        assert_scores_match_batch(minute_trace, kept, stats, target)
 
     def test_windows_tile_the_stream(self, minute_trace, windows):
         _, stats = windows
