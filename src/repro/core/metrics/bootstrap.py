@@ -31,7 +31,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.metrics.chisquare import expected_counts
-from repro.core.metrics.phi import phi_coefficient
 
 #: Default resampling effort: enough for stable 5%/95% quantiles.
 DEFAULT_RESAMPLES = 2000
@@ -46,19 +45,24 @@ def phi_null_samples(
     """Draw phi values under the multinomial null.
 
     Each resample draws ``sample_size`` observations into the bins
-    with the population's proportions and scores the result with phi.
+    with the population's proportions and scores the result with phi,
+    equal to its row's ``phi_coefficient``: the rows share one size, so
+    the proportions are checked and E is built once for all of them.
     """
     props = np.asarray(population_proportions, dtype=np.float64)
-    expected_counts(props, sample_size)  # the metrics' proportion checks
+    expected = expected_counts(props, sample_size)
     if sample_size < 1:
         raise ValueError("sample size must be positive")
     if n_resamples < 1:
         raise ValueError("need at least one resample")
     rng = rng if rng is not None else np.random.default_rng()
     counts = rng.multinomial(sample_size, props, size=n_resamples)
-    return np.array(
-        [phi_coefficient(row, props) for row in counts], dtype=np.float64
-    )
+    # Bins with E = 0 are never drawn.  C order keeps each row's sum in
+    # the pairwise order phi_coefficient sums it in.
+    scored = expected > 0
+    observed = np.ascontiguousarray(counts[:, scored], dtype=np.float64)
+    chi2 = ((observed - expected[scored]) ** 2 / expected[scored]).sum(axis=1)
+    return np.sqrt(chi2 / (expected.sum() + sample_size))
 
 
 def phi_null_quantiles(

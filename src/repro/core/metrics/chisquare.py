@@ -18,7 +18,7 @@ from repro.stats.distributions import chi2_sf
 
 
 def expected_counts(
-    population_proportions: Sequence[float], sample_size: int
+    population_proportions: Sequence[float], sample_size: float
 ) -> np.ndarray:
     """Expected bin counts for a sample of ``sample_size`` packets."""
     props = np.asarray(population_proportions, dtype=np.float64)
@@ -26,8 +26,8 @@ def expected_counts(
         raise ValueError("need at least two bin proportions")
     if np.any(props < 0):
         raise ValueError("bin proportions must be non-negative")
-    total = props.sum()
-    if not np.isclose(total, 1.0, atol=1e-9):
+    total = float(props.sum())
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError("bin proportions must sum to 1, got %r" % (total,))
     if sample_size < 0:
         raise ValueError("sample size must be non-negative")
@@ -35,12 +35,12 @@ def expected_counts(
 
 
 class _Pair(NamedTuple):
-    """A sample's counts O, its parent's E = p * n, n, and B = #(p > 0)."""
+    """A sample's counts O, its parent's E = p * n, n = sum(O) unrounded, and B = #(p > 0)."""
 
     observed: np.ndarray
     proportions: np.ndarray
     expected: np.ndarray
-    size: int
+    size: float
     occupied: int
 
 
@@ -52,7 +52,7 @@ def _pair(
     The sample cannot contain what the parent lacks: no count where E = 0.
     """
     obs = np.asarray(observed, dtype=np.float64)
-    size = int(obs.sum())
+    size = float(obs.sum())
     props = np.asarray(population_proportions, dtype=np.float64)
     expected = expected_counts(props, size)
     if obs.shape != expected.shape:

@@ -90,6 +90,6 @@ def evaluate_all(
         x2=x2,
         k=_normalized_deviation(pair, x2),
         phi=_phi(pair, chi2),
-        sample_size=pair.size,
+        sample_size=int(pair.size),
         fraction=fraction,
     )

@@ -141,42 +141,7 @@ def nsfnet_day_trace(
     innovations = base.generate_innovations(duration_s, rng)
     rates = base.rates_from_innovations(innovations)
     rates = rates * profile.per_second_envelope(start_hour, duration_s)
-    rates = np.maximum(rates, 1.0)
-
-    from repro.workload.arrivals import TrainArrivalModel
-    from repro.workload.modulation import MixModulator
-
-    modulator = MixModulator(mix=generator.mix)
-    train_probs = modulator.probabilities(innovations, rng)
-    model = TrainArrivalModel(mix=generator.mix)
-    timestamps, components = model.generate(
-        rates, rng, train_probs_per_second=train_probs
-    )
-
-    sizes = np.empty(timestamps.size, dtype=np.int32)
-    for c, component in enumerate(generator.mix.components):
-        mask = components == c
-        count = int(mask.sum())
-        if count:
-            sizes[mask] = component.sizes.draw(count, rng)
-
-    from repro.workload.flows import FlowPool
-
-    pool = FlowPool(generator.mix, rng=np.random.default_rng(seed + 1))
-    src_nets, dst_nets, src_ports, dst_ports = pool.assign(components, rng)
-    protocols = np.array(
-        [c.protocol for c in generator.mix.components], dtype=np.uint8
-    )[components.astype(np.int64)]
-
-    trace = Trace(
-        timestamps_us=np.floor(timestamps).astype(np.int64),
-        sizes=sizes,
-        protocols=protocols,
-        src_nets=src_nets,
-        dst_nets=dst_nets,
-        src_ports=src_ports,
-        dst_ports=dst_ports,
-    )
+    trace = generator._trace(np.maximum(rates, 1.0), innovations, rng)
     if quantize:
         trace = MonitorClock().quantize_trace(trace)
     return trace, start_hour

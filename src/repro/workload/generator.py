@@ -64,6 +64,14 @@ class TraceGenerator:
             self.duration_s, rng
         )
         rates = self.rate_process.rates_from_innovations(innovations)
+        return self._trace(rates, innovations, rng)
+
+    def _trace(
+        self, rates: np.ndarray, innovations: np.ndarray, rng: np.random.Generator
+    ) -> Trace:
+        """The trace at per-second ``rates``: the mix modulated by the load
+        ``innovations``, the arrivals, then each packet's labels."""
+        train_probs = None
         if self.mix_sigma > 0:
             modulator = MixModulator(
                 mix=self.mix,
@@ -71,8 +79,6 @@ class TraceGenerator:
                 load_correlation=self.mix_load_correlation,
             )
             train_probs = modulator.probabilities(innovations, rng)
-        else:
-            train_probs = None
         model = TrainArrivalModel(
             mix=self.mix,
             intra_gap_mean_us=self.intra_gap_mean_us,
@@ -82,12 +88,24 @@ class TraceGenerator:
             rates, rng, train_probs_per_second=train_probs
         )
 
+        # The labels read a compact copy of the component column, so the
+        # int64 one is freed before the sizes' whole-trace grouping.
+        mix_components = self.mix.components
+        counts = np.bincount(components, minlength=len(mix_components))
+        key = components.astype(np.min_scalar_type(len(mix_components) - 1))
+        del components
+
+        # Each component draws its packets' sizes in packet order,
+        # components in mix order: one stable grouping places them all.
         sizes = np.empty(timestamps.size, dtype=np.int32)
-        for c, component in enumerate(self.mix.components):
-            mask = components == c
-            count = int(mask.sum())
-            if count:
-                sizes[mask] = component.sizes.draw(count, rng)
+        if timestamps.size:
+            sizes[key.argsort(kind="stable")] = np.concatenate(
+                [
+                    component.sizes.draw(count, rng)
+                    for component, count in zip(mix_components, counts.tolist())
+                    if count
+                ]
+            )
 
         pool = FlowPool(
             self.mix,
@@ -97,21 +115,10 @@ class TraceGenerator:
                 None if self.seed is None else self.seed + 1
             ),
         )
-        src_nets, dst_nets, src_ports, dst_ports = pool.assign(components, rng)
-
-        protocols = np.array(
-            [c.protocol for c in self.mix.components], dtype=np.uint8
-        )[components.astype(np.int64)]
-
-        return Trace(
-            timestamps_us=np.floor(timestamps).astype(np.int64),
-            sizes=sizes,
-            protocols=protocols,
-            src_nets=src_nets,
-            dst_nets=dst_nets,
-            src_ports=src_ports,
-            dst_ports=dst_ports,
-        )
+        flow_columns = pool.assign(key, rng)
+        protocols = np.array([c.protocol for c in mix_components], dtype=np.uint8)
+        # Arrivals are positive: truncation is the floor.
+        return Trace(timestamps.astype(np.int64), sizes, protocols[key], *flow_columns)
 
 
 def nsfnet_hour_trace(

@@ -84,7 +84,17 @@ class ApplicationComponent:
         # success probability p gives mean 1/p for numpy's geometric on
         # {1, 2, ...}.
         p = 1.0 / self.mean_train_length
-        return rng.geometric(p, size=n).astype(np.int64)
+        return rng.geometric(p, size=n).astype(np.int64, copy=False)
+
+
+def selection_cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative selection probabilities along the last axis, built as
+    ``Generator.choice`` builds them: ``cdf.searchsorted(rng.random(n),
+    side="right")`` draws what ``rng.choice(len(p), size=n, p=p)`` draws,
+    without re-validating ``p`` on every call."""
+    cdf = np.cumsum(probs, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
 
 
 class ApplicationMix:
@@ -107,9 +117,10 @@ class ApplicationMix:
         self._packet_fractions = np.array(
             [c.packet_fraction / total for c in components], dtype=np.float64
         )
-        train_weights = self._packet_fractions / np.array(
+        self._train_length_means = np.array(
             [c.mean_train_length for c in components], dtype=np.float64
         )
+        train_weights = self._packet_fractions / self._train_length_means
         self._train_probs = train_weights / train_weights.sum()
 
     @property
@@ -125,13 +136,6 @@ class ApplicationMix:
         """Probability that a new train belongs to each component."""
         return self._train_probs.copy()
 
-    @property
-    def train_length_means(self) -> np.ndarray:
-        """Mean train length of each component, in component order."""
-        return np.array(
-            [c.mean_train_length for c in self.components], dtype=np.float64
-        )
-
     def mean_train_length(self, train_probs: np.ndarray = None) -> float:
         """Expected packets per train.
 
@@ -140,23 +144,12 @@ class ApplicationMix:
         the base mix probabilities apply.
         """
         probs = self._train_probs if train_probs is None else np.asarray(train_probs)
-        return float(np.dot(probs, self.train_length_means))
+        return float(np.dot(probs, self._train_length_means))
 
     def mean_packet_size(self) -> float:
         """Expected packet size of the aggregate population."""
         means = np.array([c.sizes.mean() for c in self.components])
         return float(np.dot(self._packet_fractions, means))
-
-    def draw_components(
-        self, n: int, rng: np.random.Generator, train_probs: np.ndarray = None
-    ) -> np.ndarray:
-        """Draw component indices for ``n`` trains.
-
-        ``train_probs`` optionally overrides the base train-selection
-        probabilities for this draw (per-second mix modulation).
-        """
-        probs = self._train_probs if train_probs is None else np.asarray(train_probs)
-        return rng.choice(len(self.components), size=n, p=probs)
 
 
 def nsfnet_mix() -> ApplicationMix:

@@ -9,6 +9,7 @@ from repro.core.metrics.bootstrap import (
     phi_null_samples,
     phi_pvalue,
 )
+from repro.core.metrics.phi import phi_coefficient
 
 
 PROPS = np.array([0.47, 0.10, 0.43])  # ~ the paper's size bins
@@ -32,6 +33,20 @@ class TestNullSamples:
         q95_boot = np.quantile(values, 0.95)
         q95_asymptotic = np.sqrt(scipy.stats.chi2.ppf(0.95, df=2) / (2 * n))
         assert q95_boot == pytest.approx(q95_asymptotic, rel=0.05)
+
+    @pytest.mark.parametrize(
+        "props, n",
+        [
+            (PROPS, 1000),
+            (PROPS, 1),
+            ([0.2, 0.0, 0.3, 0.5], 40),
+            (np.r_[np.full(16, 0.05), np.zeros(3), np.full(4, 0.05)], 700),
+        ],
+    )
+    def test_equals_phi_coefficient_of_each_resample(self, props, n):
+        values = phi_null_samples(props, n, n_resamples=300, rng=np.random.default_rng(4))
+        counts = np.random.default_rng(4).multinomial(n, props, size=300)
+        assert values.tolist() == [phi_coefficient(row, props) for row in counts]
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):

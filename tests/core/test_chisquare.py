@@ -27,6 +27,20 @@ class TestExpectedCounts:
         with pytest.raises(ValueError, match="sample size"):
             expected_counts([0.5, 0.5], -1)
 
+    @pytest.mark.parametrize(
+        "props", [[0.5, 0.500009], [0.5, 0.5 + 2e-9], [0.5, 0.5 - 2e-9], [0.5, np.nan]]
+    )
+    def test_sum_tolerance_is_absolute_1e9(self, props):
+        with pytest.raises(ValueError, match="sum to 1"):
+            expected_counts(props, 10)
+
+    def test_sum_within_1e9_accepted(self):
+        assert expected_counts([0.5, 0.5 + 5e-10], 10).sum() == pytest.approx(10.0)
+
+    def test_sum_error_prints_a_plain_float(self):
+        with pytest.raises(ValueError, match=r"got 1\.1$"):
+            expected_counts([0.6, 0.5], 10)
+
 
 class TestChiSquare:
     def test_perfect_sample_scores_zero(self):

@@ -49,6 +49,15 @@ class TestEvaluateAll:
         assert scores.x2 == 0.0
         assert scores.significance == 1.0
 
+    @pytest.mark.parametrize("scale", [12.25, 1000.9])
+    def test_proportional_float_counts_score_zero(self, scale):
+        """An estimate's float counts meet E at their own total, not its floor."""
+        p = np.array([0.5, 0.3, 0.2])
+        scores = evaluate_all(p * scale, p, fraction=1.0)
+        assert scores.phi == pytest.approx(0.0, abs=1e-12)
+        assert scores.cost == pytest.approx(0.0, abs=1e-9)
+        assert scores.sample_size == int(scale)
+
 
 def _outcome(compute):
     """A computation's value, or its ValueError's message."""

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.trace.packet import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP
 from repro.workload.mix import (
     ApplicationComponent,
     ApplicationMix,
     nsfnet_mix,
+    selection_cdf,
 )
 from repro.workload.sizes import ConstantSize
 
@@ -86,17 +89,6 @@ class TestApplicationMix:
         mix = two_component_mix()
         assert mix.mean_packet_size() == pytest.approx(0.6 * 40 + 0.4 * 552)
 
-    def test_draw_components_distribution(self, rng):
-        mix = two_component_mix()
-        drawn = mix.draw_components(50_000, rng)
-        share = (drawn == 0).mean()
-        assert share == pytest.approx(mix.train_probabilities[0], abs=0.01)
-
-    def test_draw_components_with_override(self, rng):
-        mix = two_component_mix()
-        drawn = mix.draw_components(100, rng, train_probs=np.array([1.0, 0.0]))
-        assert np.all(drawn == 0)
-
     def test_empty_mix_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             ApplicationMix([])
@@ -105,6 +97,44 @@ class TestApplicationMix:
         comp = ApplicationComponent("x", 0.5, ConstantSize(40), 1.0)
         with pytest.raises(ValueError, match="unique"):
             ApplicationMix([comp, comp])
+
+
+class TestSelectionCdf:
+    @staticmethod
+    def _draw(probs, n, rng):
+        return selection_cdf(probs).searchsorted(rng.random(n), side="right")
+
+    def test_draws_train_probabilities(self, rng):
+        mix = two_component_mix()
+        drawn = self._draw(mix.train_probabilities, 50_000, rng)
+        share = (drawn == 0).mean()
+        assert share == pytest.approx(mix.train_probabilities[0], abs=0.01)
+
+    def test_zero_probability_never_drawn(self, rng):
+        drawn = self._draw(np.array([1.0, 0.0]), 100, rng)
+        assert np.all(drawn == 0)
+
+    def test_rows_are_independent(self):
+        probs = np.array([[0.2, 0.3, 0.5], [0.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(selection_cdf(probs)[0], selection_cdf(probs[0]))
+        np.testing.assert_array_equal(selection_cdf(probs)[1], [0.0, 0.0, 1.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 1e-9, 0.01, 0.3, 1.0, 7.0]), min_size=1, max_size=12)
+        .filter(any),
+        st.integers(0, 300),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_generator_choice(self, weights, n, seed):
+        """Draw for draw what ``rng.choice`` draws, leaving the same state."""
+        probs = np.array(weights) / np.sum(weights)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = self._draw(probs, n, ours)
+        expected = theirs.choice(probs.size, size=n, p=probs)
+        assert drawn.dtype == expected.dtype
+        np.testing.assert_array_equal(drawn, expected)
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestNsfnetMix:
