@@ -20,7 +20,7 @@ from repro.core.evaluation.experiment import (
     PAPER_GRANULARITIES,
 )
 from repro.engine.checkpoint import record_to_json
-from repro.engine.runner import run_grid
+from repro.engine.runner import ParallelRunner
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -44,7 +44,7 @@ def test_engine_scaling(hour_trace, emit):
     results = {}
     for jobs in WORKER_COUNTS:
         started = time.perf_counter()
-        results[jobs] = run_grid(grid, hour_trace, jobs=jobs)
+        results[jobs] = ParallelRunner(jobs=jobs).run(grid, hour_trace)
         walls[jobs] = time.perf_counter() - started
 
     # Correctness before speed: every worker count, same bits.

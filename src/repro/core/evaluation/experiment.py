@@ -126,8 +126,8 @@ class ExperimentGrid:
         When true, every shard additionally aggregates its window and
         its drawn sample into flows (:mod:`repro.flows`) and reports a
         flow-level summary (parent/sampled flow counts, detected
-        fraction, mean sizes) that rides the result tuple into the run
-        manifest.  Purely observational: the scored records are
+        fraction, mean sizes) that rides each shard's result into the
+        run manifest.  Purely observational: the scored records are
         bit-identical with it on or off.
     """
 
@@ -154,70 +154,19 @@ class ExperimentGrid:
         if any(g < 1 for g in self.granularities):
             raise ValueError("granularities must be >= 1")
 
-    def run(
-        self,
-        trace: Trace,
-        jobs: int = 1,
-        run_dir: Optional[str] = None,
-        resume: bool = False,
-        max_attempts: int = 3,
-        shard_timeout_s: Optional[float] = None,
-        fault_plan=None,
-        profile: bool = False,
-        obs=None,
-    ) -> ExperimentResult:
-        """Execute the sweep on a parent trace.
+    def run(self, trace: Trace) -> ExperimentResult:
+        """Execute the sweep on a parent trace, inline in this process.
 
-        Execution is delegated to :mod:`repro.engine`, which expands
-        the grid into independent shards (one per interval × method ×
-        granularity × replication cell) and runs them inline or on a
-        worker pool.  Results are bit-identical for any ``jobs``.
-
-        Parameters
-        ----------
-        trace:
-            The parent population.
-        jobs:
-            Worker processes; ``1`` executes inline.
-        run_dir:
-            Directory for the checkpoint journal and run manifest;
-            required for ``resume``.
-        resume:
-            Skip shards already journaled in ``run_dir`` by a previous
-            (interrupted) run of the same grid on the same trace.
-        max_attempts:
-            Executions a shard may consume before it is quarantined
-            and the sweep continues without it.
-        shard_timeout_s:
-            Per-shard wall-clock deadline in pool mode (``None``
-            disables it); a shard past the deadline is retried on a
-            rebuilt pool.
-        fault_plan:
-            Optional :class:`repro.engine.FaultPlan` injecting
-            deterministic failures for chaos testing.
-        profile:
-            Record per-span events in the run's observability log
-            (see :mod:`repro.obs`); timers and counters are collected
-            whenever a ``run_dir`` is given even without it.
-        obs:
-            Optional externally owned
-            :class:`repro.obs.Instrumentation` to record into.
+        This is ``ParallelRunner().run(self, trace)``: the engine
+        (:mod:`repro.engine`) expands the grid into independent shards,
+        one per interval × method × granularity × replication cell.
+        Workers, checkpoints, fault tolerance and run directories are
+        the settings of a :class:`repro.engine.ParallelRunner`; the
+        records are bit-identical under any of them.
         """
-        from repro.engine.runner import run_grid
+        from repro.engine.runner import ParallelRunner
 
-        return run_grid(
-            self,
-            trace,
-            jobs=jobs,
-            run_dir=run_dir,
-            resume=resume,
-            max_attempts=max_attempts,
-            shard_timeout_s=shard_timeout_s,
-            fault_plan=fault_plan,
-            profile=profile,
-            obs=obs,
-        )
-
+        return ParallelRunner().run(self, trace)
 
 def phi_values(
     result: ExperimentResult,

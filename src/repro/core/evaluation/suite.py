@@ -148,14 +148,7 @@ def reproduce_study(
     replications: int = 5,
     seed: int = 0,
     methods: Sequence[str] = METHOD_NAMES,
-    jobs: int = 1,
-    run_dir: Optional[str] = None,
-    resume: bool = False,
-    max_attempts: int = 3,
-    shard_timeout_s: Optional[float] = None,
-    fault_plan=None,
-    profile: bool = False,
-    obs=None,
+    runner=None,
 ) -> StudyReport:
     """Run the paper's analysis families on one trace.
 
@@ -171,20 +164,10 @@ def reproduce_study(
         Budget for the final configuration recommendation.
     replications, seed, methods:
         Passed to the sweep grid.
-    jobs, run_dir, resume:
-        Execution-engine controls for the φ sweep (the dominant cost):
-        worker count, checkpoint/manifest directory, and whether to
-        skip shards journaled by an interrupted run.  See
-        :mod:`repro.engine`.
-    max_attempts, shard_timeout_s, fault_plan:
-        Fault-tolerance controls for the φ sweep: retry budget per
-        shard before quarantine, per-shard deadline in pool mode, and
-        an optional deterministic chaos plan.  See
-        :mod:`repro.engine.faults`.
-    profile, obs:
-        Observability controls for the φ sweep: per-span event
-        recording, and an optional externally owned
-        :class:`repro.obs.Instrumentation`.  See :mod:`repro.obs`.
+    runner:
+        The :class:`repro.engine.ParallelRunner` that executes the φ
+        sweep (the dominant cost): its workers, checkpoints, fault
+        tolerance and observability.  ``None`` runs it inline.
     """
     if len(trace) < 1000:
         raise ValueError(
@@ -209,17 +192,7 @@ def reproduce_study(
         replications=replications,
         seed=seed,
     )
-    sweep = grid.run(
-        trace,
-        jobs=jobs,
-        run_dir=run_dir,
-        resume=resume,
-        max_attempts=max_attempts,
-        shard_timeout_s=shard_timeout_s,
-        fault_plan=fault_plan,
-        profile=profile,
-        obs=obs,
-    )
+    sweep = grid.run(trace) if runner is None else runner.run(grid, trace)
     checks = chi_square_phase_check(
         trace, granularity=50, phases=10 if quick else 50
     )

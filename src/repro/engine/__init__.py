@@ -13,6 +13,9 @@ serially.  This subpackage runs it as a sharded task graph instead:
   no packet column is pickled per task;
 * :mod:`repro.engine.checkpoint` journals completed shards to JSONL so
   an interrupted sweep resumes where it stopped;
+* :mod:`repro.engine.worker` runs a shard attempt and returns one
+  :class:`~repro.engine.worker.ShardResult`, inline or in a pool
+  worker alike;
 * :mod:`repro.engine.telemetry` records per-shard wall time,
   throughput, and worker utilization into the run manifest;
 * :mod:`repro.engine.runner` schedules it all.
@@ -20,19 +23,22 @@ serially.  This subpackage runs it as a sharded task graph instead:
 Observability is layered on through :mod:`repro.obs`: the runner opens
 hierarchical spans around planning, checkpoint I/O, trace
 publication, and execution; workers report per-phase busy seconds
-(window/sample/score) and peak RSS alongside each result; every
-injected fault and recovery action becomes a structured event in the
-run directory's ``events.jsonl``; and counters/gauges land in the
-manifest plus a Prometheus-style ``metrics.prom``.  ``repro-traffic
-report <run-dir>`` renders it all.  With no run directory and no
-``profile=True`` the engine records into a shared null implementation —
-no events, no files, near-zero overhead, bit-identical results.
+(window/sample/score) and peak RSS in each result; every injected
+fault and recovery action becomes one structured event, plus its
+counter, in the run's :class:`~repro.obs.Instrumentation`, which is
+the run's only record of them; and with a run directory the events
+land in ``events.jsonl`` and the counters and gauges in the manifest
+plus a Prometheus-style ``metrics.prom``.  ``repro-traffic report
+<run-dir>`` renders it all.  Every run records into a live registry —
+its own, or the one passed as ``obs`` — and a run without a run
+directory writes no file.  Recording never changes the records.
 
 The engine's contract: for a given grid and trace, the merged result is
 **bit-identical** across ``jobs=1``, ``jobs=N``, and any
-interrupt/resume sequence.  ``ExperimentGrid.run(trace, jobs=4)`` and
-the CLI's ``--jobs/--resume/--run-dir`` flags are thin wrappers over
-:func:`run_grid`.
+interrupt/resume sequence.  :class:`ParallelRunner` is the one place a
+sweep's settings live: ``ExperimentGrid.run(trace)`` is
+``ParallelRunner().run(grid, trace)``, and the CLI's
+``--jobs/--resume/--run-dir`` flags configure one runner.
 
 Fault tolerance rides on the same shard independence
 (:mod:`repro.engine.faults` + the runner's recovery machinery): failed
@@ -59,7 +65,7 @@ from repro.engine.faults import (
     ShardTimeoutError,
 )
 from repro.engine.planner import GridPlanner, Shard, shard_rng, shard_seed
-from repro.engine.runner import ParallelRunner, QuarantinedShards, run_grid
+from repro.engine.runner import ParallelRunner, QuarantinedShards
 from repro.engine.sharedtrace import (
     MemmapTraceBuffer,
     MemmapTraceSpec,
@@ -68,8 +74,13 @@ from repro.engine.sharedtrace import (
     publish_trace,
     reap_stale_dirs,
 )
-from repro.engine.telemetry import EngineEvent, RunTelemetry, ShardTiming
-from repro.engine.worker import ShardContext, execute_shard, records_digest
+from repro.engine.telemetry import RunTelemetry
+from repro.engine.worker import (
+    ShardContext,
+    ShardResult,
+    execute_shard,
+    records_digest,
+)
 
 __all__ = [
     "CheckpointError",
@@ -88,17 +99,15 @@ __all__ = [
     "shard_seed",
     "ParallelRunner",
     "QuarantinedShards",
-    "run_grid",
     "MemmapTraceBuffer",
     "MemmapTraceSpec",
     "SpilledTraceBuffer",
     "attach_trace",
     "publish_trace",
     "reap_stale_dirs",
-    "EngineEvent",
     "RunTelemetry",
-    "ShardTiming",
     "ShardContext",
+    "ShardResult",
     "execute_shard",
     "records_digest",
 ]

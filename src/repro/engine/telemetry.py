@@ -1,7 +1,8 @@
 """Run-level observability: where did the sweep's time go?
 
-Every shard reports its wall time, window size, and the worker that
-ran it; :class:`RunTelemetry` aggregates these into the run manifest
+Every shard's :class:`~repro.engine.worker.ShardResult` reports its
+wall time, window size, and the worker that ran it;
+:class:`RunTelemetry` aggregates these into the run manifest
 (``manifest.json`` in the run directory) so scaling problems — a
 straggler granularity, an idle worker, a window whose extraction
 dominates — are visible without re-instrumenting anything.
@@ -14,10 +15,10 @@ pool scores ~1.0; long tails and serialization stalls pull it down.
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.obs.instrument import NULL_OBS
+from repro.engine.worker import ShardResult
+from repro.obs.instrument import Instrumentation
 
 #: Counter names incremented per recovery event kind (see
 #: :meth:`RunTelemetry.record_event`).
@@ -30,74 +31,33 @@ _EVENT_COUNTERS = {
 }
 
 
-@dataclass(frozen=True)
-class EngineEvent:
-    """One recovery-path occurrence: a retry, a quarantine, a pool
-    rebuild, or the fallback to serial execution.
-
-    The manifest lists every event so a sweep that survived failures
-    says so out loud — per the NetFlow-scale operational lesson,
-    partial failure must be *reported*, never absorbed silently.
-    """
-
-    kind: str  # "retry" | "quarantine" | "pool_rebuild" | "serial_fallback"
-    #       | "fault_injected"
-    shard: Optional[str] = None
-    attempt: Optional[int] = None
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class ShardTiming:
-    """One shard's execution report."""
-
-    key: str
-    worker: int  # pid of the executing process
-    wall_s: float
-    packets: int  # window size the shard sampled from
-    cached: bool  # replayed from a checkpoint, not executed
-    #: Per-phase busy seconds (window/sample/score/flows), reported by
-    #: the executing process alongside the result.
-    phases: Dict[str, float] = field(default_factory=dict)
-    #: Peak RSS of the executing process in KiB (0 when unknown).
-    maxrss_kb: int = 0
-    #: Flow-level summary of the shard (parent/sampled flow counts,
-    #: detected fraction, mean sizes) when the grid enabled
-    #: ``flow_stats``; ``None`` otherwise.
-    flows: Optional[Dict[str, float]] = None
-
-    @property
-    def packets_per_s(self) -> float:
-        """Throughput over the shard's window."""
-        if self.wall_s <= 0:
-            return 0.0
-        return self.packets / self.wall_s
-
-
 class RunTelemetry:
-    """Collects shard timings and renders the run manifest.
+    """Collects shard results and renders the run manifest.
 
     ``obs`` is the run's :class:`~repro.obs.instrument.Instrumentation`
-    (or the shared null instance): every recovery event recorded here
-    is forwarded into the structured event log and counted, so the
-    manifest, the event log, and the Prometheus exposition never
-    disagree about what happened.
+    and the one record of its recovery events: the manifest's retry,
+    quarantine and rebuild fields are read back from the events this
+    run logged there, so the manifest, the event log, and the
+    Prometheus exposition never disagree about what happened.
     """
 
-    def __init__(self, jobs: int, obs=NULL_OBS) -> None:
+    def __init__(self, jobs: int, obs: Instrumentation) -> None:
         self.jobs = jobs
         self.obs = obs
-        self.timings: List[ShardTiming] = []
-        self.events: List[EngineEvent] = []
+        #: Every shard's result, replayed ones included, in completion
+        #: order.
+        self.timings: List[ShardResult] = []
         #: Description of the run's fault plan, when chaos was injected.
         self.chaos: Optional[dict] = None
+        # A registry passed in may hold events of earlier work.
+        self._first_event = len(obs.events)
         self._started = time.perf_counter()
         self._wall_s: Optional[float] = None
 
-    def add(self, timing: ShardTiming) -> None:
-        self.timings.append(timing)
-        if timing.maxrss_kb:
-            self.obs.gauge("worker_peak_rss_kb").high(timing.maxrss_kb)
+    def add(self, result: ShardResult) -> None:
+        self.timings.append(result)
+        if result.maxrss_kb:
+            self.obs.gauge("worker_peak_rss_kb").high(result.maxrss_kb)
 
     def record_event(
         self,
@@ -106,13 +66,10 @@ class RunTelemetry:
         attempt: Optional[int] = None,
         detail: str = "",
     ) -> None:
-        """Record one recovery-path occurrence (see :class:`EngineEvent`)."""
-        self.events.append(
-            EngineEvent(kind=kind, shard=shard, attempt=attempt, detail=detail)
-        )
-        counter = _EVENT_COUNTERS.get(kind)
-        if counter is not None:
-            self.obs.counter(counter).inc()
+        """Log one recovery-path occurrence — a retry, a quarantine, a
+        pool rebuild, the fallback to serial execution, or an injected
+        fault — and count it."""
+        self.obs.counter(_EVENT_COUNTERS[kind]).inc()
         self.obs.event(
             kind, shard=shard, attempt=attempt, detail=detail or None
         )
@@ -144,30 +101,32 @@ class RunTelemetry:
         busy_s = sum(busy_by_worker.values())
         packets = sum(t.packets for t in executed)
         wall = self.wall_s
-        quarantined = sorted(
-            {e.shard for e in self.events if e.kind == "quarantine" and e.shard}
-        )
+        events = [
+            e
+            for e in self.obs.events[self._first_event:]
+            if e["kind"] in _EVENT_COUNTERS
+        ]
+        kinds = [e["kind"] for e in events]
         payload = {
-            "retries": sum(e.kind == "retry" for e in self.events),
-            "quarantined": quarantined,
-            "pool_rebuilds": sum(e.kind == "pool_rebuild" for e in self.events),
-            "degraded_to_serial": any(
-                e.kind == "serial_fallback" for e in self.events
+            "retries": kinds.count("retry"),
+            "quarantined": sorted(
+                {e["shard"] for e in events if e["kind"] == "quarantine"}
             ),
+            "pool_rebuilds": kinds.count("pool_rebuild"),
+            "degraded_to_serial": "serial_fallback" in kinds,
             "events": [
                 {
-                    "kind": e.kind,
-                    "shard": e.shard,
-                    "attempt": e.attempt,
-                    "detail": e.detail,
+                    "kind": e["kind"],
+                    "shard": e.get("shard"),
+                    "attempt": e.get("attempt"),
+                    "detail": e.get("detail", ""),
                 }
-                for e in self.events
+                for e in events
             ],
+            "obs": self.obs.snapshot(),
         }
         if self.chaos is not None:
             payload["chaos"] = self.chaos
-        if self.obs.enabled:
-            payload["obs"] = self.obs.snapshot()
         payload.update({
             "jobs": self.jobs,
             "wall_s": wall,
@@ -195,14 +154,16 @@ class RunTelemetry:
         return payload
 
     @staticmethod
-    def _shard_entry(t: ShardTiming) -> dict:
+    def _shard_entry(t: ShardResult) -> dict:
         """One shard's manifest entry (flow summary only when present)."""
         entry = {
             "key": t.key,
             "worker": t.worker,
             "wall_s": round(t.wall_s, 6),
             "packets": t.packets,
-            "packets_per_s": round(t.packets_per_s, 3),
+            "packets_per_s": round(
+                t.packets / t.wall_s if t.wall_s > 0 else 0.0, 3
+            ),
             "cached": t.cached,
             "phases": {
                 phase: round(seconds, 6)

@@ -16,10 +16,11 @@ cached and uncached shards produce the same records.
 Fault tolerance plumbing lives at this layer too, because it must be
 common to both paths:
 
-* :func:`execute_shard_with_faults` consults the run's
-  :class:`~repro.engine.faults.FaultPlan` (if any) before and after the
-  real work, so injected crashes/hangs/corruption hit exactly where a
-  real failure would;
+* :func:`execute_shard_with_faults` runs one timed attempt under the
+  run's :class:`~repro.engine.faults.FaultPlan` (if any), consulted
+  before and after the real work so injected crashes/hangs/corruption
+  hit exactly where a real failure would, and returns the attempt as
+  one :class:`ShardResult` — the inline path and the pool task alike;
 * every result carries an integrity digest computed over its canonical
   JSON form *at the worker*, which the parent recomputes — a corrupted
   or misrouted result is a retryable failure, never a silent merge;
@@ -33,7 +34,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -56,6 +57,33 @@ from repro.trace.trace import Trace
 
 #: Exit status of an injected worker crash (visible in core dumps/strace).
 CRASH_EXIT_CODE = 86
+
+
+@dataclass(frozen=True)
+class ShardResult:
+    """One shard attempt's outcome, as the parent receives it.
+
+    The inline path and the pool task return the same record; the
+    parent verifies it, journals its records and keeps it as the
+    shard's manifest entry.  A shard replayed from the checkpoint
+    journal is one too, with ``cached=True`` and no timings.
+    """
+
+    index: int
+    key: str
+    records: List[ExperimentRecord]
+    packets: int  # window size the shard sampled from
+    #: Flow-level summary when the grid enables ``flow_stats``.
+    flows: Optional[Dict[str, float]] = None
+    #: Integrity digest taken at the worker, before any corruption.
+    digest: str = ""
+    worker: int = 0  # pid of the executing process
+    wall_s: float = 0.0
+    #: Per-phase busy seconds (window/sample/score/flows).
+    phases: Dict[str, float] = field(default_factory=dict)
+    #: Peak RSS of the executing process in KiB (0 when unknown).
+    maxrss_kb: int = 0
+    cached: bool = False  # replayed from a checkpoint, not executed
 
 
 class ShardContext:
@@ -257,18 +285,15 @@ def execute_shard_with_faults(
     attempt: int,
     fault_plan: Optional[FaultPlan],
     in_pool: bool,
-    phases: Optional[Dict[str, float]] = None,
-) -> Tuple[
-    List[ExperimentRecord], int, Optional[Dict[str, float]], str
-]:
-    """Run one shard attempt under the run's fault plan.
+) -> ShardResult:
+    """Run one timed shard attempt under the run's fault plan.
 
-    Returns ``(records, packets, flows, digest)``.  The digest is computed
-    *before* an injected corruption mutates the payload — exactly the
-    ordering a real memory/transport corruption would have — so the
-    parent's recomputation catches it.  ``phases`` is forwarded to
-    :func:`execute_shard` for per-phase timing.
+    The digest is computed *before* an injected corruption mutates the
+    payload — exactly the ordering a real memory/transport corruption
+    would have — so the parent's recomputation catches it.  The wall
+    time covers the whole attempt, an injected delay included.
     """
+    started = time.perf_counter()
     fault = (
         fault_plan.fault_for(shard.key, attempt)
         if fault_plan is not None
@@ -297,11 +322,23 @@ def execute_shard_with_faults(
             )
         if fault.kind == "slow":
             time.sleep(fault.delay_s)
+    phases: Dict[str, float] = {}
     records, packets, flows = execute_shard(context, shard, phases=phases)
     digest = records_digest(packets, records, flows)
     if fault is not None and fault.kind == "corrupt":
         records, packets = _corrupted(records, packets)
-    return records, packets, flows, digest
+    return ShardResult(
+        shard.index,
+        shard.key,
+        records,
+        packets,
+        flows=flows,
+        digest=digest,
+        worker=os.getpid(),
+        wall_s=time.perf_counter() - started,
+        phases=phases,
+        maxrss_kb=peak_rss_kb(),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -332,22 +369,12 @@ def init_worker(
     _WORKER_CRUMB_DIR = crumb_dir
 
 
-def run_shard_task(
-    shard: Shard, attempt: int = 0
-) -> Tuple[
-    int, str, List[ExperimentRecord], int, Optional[Dict[str, float]],
-    int, float, str, Dict[str, float], int,
-]:
+def run_shard_task(shard: Shard, attempt: int = 0) -> ShardResult:
     """Pool task: execute one shard attempt in the initialized worker.
 
-    Returns ``(index, key, records, window_packets, flows, pid,
-    wall_s, digest, phases, maxrss_kb)`` — everything the parent needs
-    for merging, journaling, integrity checking, and telemetry.  The
-    ``phases`` mapping carries the shard's per-phase busy seconds,
-    ``flows`` its flow-level summary (``None`` unless the grid enables
-    ``flow_stats``), and ``maxrss_kb`` the worker's peak RSS, all of
-    which ride back with the result so observability costs no extra
-    IPC round-trips.
+    The :class:`ShardResult` carries everything the parent needs for
+    merging, journaling, integrity checking and telemetry, so
+    observability costs no extra IPC round-trips.
 
     The breadcrumb written before execution names the shard this
     worker is holding; it is removed on any normal exit (including
@@ -367,28 +394,8 @@ def run_shard_task(
         except OSError:
             crumb = None
     try:
-        phases: Dict[str, float] = {}
-        started = time.perf_counter()
-        records, packets, flows, digest = execute_shard_with_faults(
-            _WORKER_CONTEXT,
-            shard,
-            attempt,
-            _WORKER_FAULTS,
-            in_pool=True,
-            phases=phases,
-        )
-        wall_s = time.perf_counter() - started
-        return (
-            shard.index,
-            shard.key,
-            records,
-            packets,
-            flows,
-            os.getpid(),
-            wall_s,
-            digest,
-            phases,
-            peak_rss_kb(),
+        return execute_shard_with_faults(
+            _WORKER_CONTEXT, shard, attempt, _WORKER_FAULTS, in_pool=True
         )
     finally:
         if crumb is not None:

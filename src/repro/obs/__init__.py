@@ -7,7 +7,8 @@ renderer for every ``metrics.prom``, ``--metrics-out`` file and
 ``/metrics`` port, and the human-readable run report behind
 ``repro-traffic report``.  Deterministic-safe (no wall-clock values in
 event payloads, no RNG interaction), and near-free when disabled
-(:data:`NULL_OBS`).  The live monitor that feeds the registry's
+(:data:`NULL_OBS`, for the trace store, the pcap reader, netmon and
+alerts; the engine always records into a live registry).  The live monitor that feeds the registry's
 histograms and windows is :mod:`repro.obs.live`.
 
 Typical engine-side use::

@@ -43,12 +43,14 @@ are unaffected whether instrumentation is on, off, or replayed.
 
 Disabled cost
 -------------
-:data:`NULL_OBS` implements the engine's surface as no-ops: ``span()``
-returns a shared, reusable null context manager and ``counter()`` /
-``gauge()`` return a shared metric whose methods do nothing.  A
-disabled call is one attribute lookup and an empty method body — the
-engine keeps a single code path instead of ``if obs is not None``
-forests.
+:data:`NULL_OBS` implements the registry's surface as no-ops:
+``span()`` returns a shared, reusable null context manager and
+``counter()`` / ``gauge()`` return a shared metric whose methods do
+nothing.  A disabled call is one attribute lookup and an empty method
+body, so the trace store, the pcap reader, netmon and alerts keep a
+single code path instead of ``if obs is not None`` forests.  The
+engine records once per shard, not per packet, and always into a live
+registry: it is the run's one record of its recovery events.
 """
 
 import time
@@ -402,9 +404,9 @@ class Instrumentation:
 class NullInstrumentation:
     """The disabled twin of :class:`Instrumentation`: every call no-ops.
 
-    Covers the engine's surface (spans, counters, gauges, events,
-    snapshots) so engine code never branches on whether observability
-    is on; use the shared :data:`NULL_OBS` instance.  The live
+    Covers spans, counters, gauges, events and snapshots, so the code
+    that takes an optional registry never branches on whether
+    observability is on; use the shared :data:`NULL_OBS` instance.  The live
     monitor's histograms and window ring have no null twin — a
     disabled monitor is :data:`~repro.obs.live.NULL_MONITOR`.
     """

@@ -23,12 +23,13 @@ from repro.engine.faults import (
     ShardTimeoutError,
 )
 from repro.engine.planner import GridPlanner
-from repro.engine.runner import ParallelRunner, QuarantinedShards, run_grid
+from repro.engine.runner import ParallelRunner, QuarantinedShards
 from repro.engine.worker import (
     ShardContext,
     execute_shard_with_faults,
     records_digest,
 )
+from repro.obs import Instrumentation
 
 
 def canonical(result):
@@ -158,14 +159,17 @@ class TestFaultPlan:
 class TestDigest:
     def test_digest_covers_records_and_packets(self, grid, minute_trace, shards):
         context = ShardContext(minute_trace, grid)
-        records, packets, flows, digest = execute_shard_with_faults(
+        result = execute_shard_with_faults(
             context, shards[0], 0, None, in_pool=False
         )
-        assert flows is None
-        assert digest == records_digest(packets, records)
-        assert digest != records_digest(packets + 1, records)
-        assert digest != records_digest(packets, records[1:])
-        assert digest != records_digest(
+        records, packets = result.records, result.packets
+        assert (result.index, result.key) == (shards[0].index, shards[0].key)
+        assert result.flows is None
+        assert not result.cached
+        assert result.digest == records_digest(packets, records)
+        assert result.digest != records_digest(packets + 1, records)
+        assert result.digest != records_digest(packets, records[1:])
+        assert result.digest != records_digest(
             packets, records, {"parent_flows": 1.0}
         )
 
@@ -174,10 +178,10 @@ class TestDigest:
     ):
         plan = FaultPlan().inject(shards[0].key, Fault("corrupt"))
         context = ShardContext(minute_trace, grid)
-        records, packets, flows, digest = execute_shard_with_faults(
+        result = execute_shard_with_faults(
             context, shards[0], 0, plan, in_pool=False
         )
-        assert records_digest(packets, records) != digest
+        assert records_digest(result.packets, result.records) != result.digest
 
 
 class TestSerialInjectionSemantics:
@@ -280,18 +284,16 @@ class TestQuarantine:
         plan = FaultPlan().inject(poison.key, Fault("error"), attempts=None)
         run_dir = str(tmp_path / "run")
         with pytest.warns(QuarantinedShards):
-            run_grid(
-                grid,
-                minute_trace,
+            ParallelRunner(
                 run_dir=run_dir,
                 fault_plan=plan,
                 max_attempts=2,
                 retry_backoff_s=0.001,
-            )
+            ).run(grid, minute_trace)
         # The fault is gone on resume (a fixed bug, a transient cleared):
         # the quarantined shard gets fresh attempts and the merged
         # result is whole again.
-        result = run_grid(grid, minute_trace, run_dir=run_dir, resume=True)
+        result = ParallelRunner(run_dir=run_dir, resume=True).run(grid, minute_trace)
         assert canonical(result) == canonical(serial_result)
 
     def test_max_attempts_validated(self):
@@ -303,7 +305,7 @@ class TestQuarantine:
 
 class TestCliWiring:
     def test_chaos_flag_builds_a_plan(self):
-        from repro.cli import _engine_kwargs, build_parser
+        from repro.cli import _sweep_runner, build_parser
 
         args = build_parser().parse_args(
             [
@@ -319,20 +321,23 @@ class TestCliWiring:
                 "5",
             ]
         )
-        kwargs = _engine_kwargs(args)
-        assert kwargs["jobs"] == 2
-        assert kwargs["max_attempts"] == 5
-        assert kwargs["shard_timeout_s"] == 30.0
-        assert kwargs["fault_plan"].rates == {"crash": 0.1}
-        assert kwargs["fault_plan"].seed == 7
+        obs = Instrumentation()
+        runner = _sweep_runner(args, obs)
+        assert runner.jobs == 2
+        assert runner.max_attempts == 5
+        assert runner.shard_timeout_s == 30.0
+        assert runner.fault_plan.rates == {"crash": 0.1}
+        assert runner.fault_plan.seed == 7
+        assert runner.obs is obs
 
     def test_no_chaos_flag_means_no_plan(self):
-        from repro.cli import _engine_kwargs, build_parser
+        from repro.cli import _sweep_runner, build_parser
 
         args = build_parser().parse_args(["experiment", "trace.pcap"])
-        kwargs = _engine_kwargs(args)
-        assert kwargs["fault_plan"] is None
-        assert kwargs["shard_timeout_s"] is None
+        runner = _sweep_runner(args, Instrumentation())
+        assert runner.fault_plan is None
+        assert runner.shard_timeout_s is None
+        assert runner.run_dir is None
 
     def test_all_kinds_have_serial_semantics(self):
         # Guard: every declared kind is handled by the injection layer.

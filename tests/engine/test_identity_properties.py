@@ -15,7 +15,7 @@ from repro.core.evaluation.experiment import ExperimentGrid
 from repro.engine.checkpoint import record_to_json
 from repro.engine.faults import FaultPlan
 from repro.engine.planner import GridPlanner
-from repro.engine.runner import ParallelRunner, run_grid
+from repro.engine.runner import ParallelRunner
 from repro.engine.worker import ShardContext, execute_shard
 
 
@@ -45,7 +45,7 @@ def serial_result(grid, request):
 def test_any_worker_count_is_bit_identical(
     jobs, grid, serial_result, minute_trace
 ):
-    result = run_grid(grid, minute_trace, jobs=jobs)
+    result = ParallelRunner(jobs=jobs).run(grid, minute_trace)
     assert canonical(result) == canonical(serial_result)
 
 
@@ -91,15 +91,13 @@ def test_killed_and_resumed_runs_are_bit_identical(
     done_before = 0
     for stop in stops:
         with pytest.raises(KeyboardInterrupt):
-            run_grid(
-                grid,
-                minute_trace,
+            ParallelRunner(
                 run_dir=run_dir,
                 resume=done_before > 0,
                 progress=StopAfter(stop),
-            )
+            ).run(grid, minute_trace)
         done_before = stop
-    result = run_grid(grid, minute_trace, run_dir=run_dir, resume=True)
+    result = ParallelRunner(run_dir=run_dir, resume=True).run(grid, minute_trace)
     assert canonical(result) == canonical(serial_result)
 
 

@@ -19,7 +19,7 @@ from repro.core.sampling.streaming import (
 )
 from repro.engine.checkpoint import record_to_json
 from repro.engine.planner import GridPlanner
-from repro.engine.runner import run_grid
+from repro.engine.runner import ParallelRunner
 from repro.engine.worker import ShardContext, execute_shard
 from repro.flows.sampled import NULL_ACCOUNTANT, StreamFlowAccountant
 from repro.flows.table import iter_flow_keys
@@ -91,8 +91,8 @@ def grids():
 class TestEnginePassivity:
     def test_records_identical_with_flow_stats(self, grids, minute_trace):
         bare_grid, flows_grid = grids
-        bare = run_grid(bare_grid, minute_trace)
-        accounted = run_grid(flows_grid, minute_trace)
+        bare = ParallelRunner().run(bare_grid, minute_trace)
+        accounted = ParallelRunner().run(flows_grid, minute_trace)
         assert canonical(bare) == canonical(accounted)
 
     def test_shard_flows_only_when_enabled(self, grids, minute_trace):
@@ -118,7 +118,7 @@ class TestEnginePassivity:
     ):
         _, flows_grid = grids
         run_dir = str(tmp_path / "run")
-        run_grid(flows_grid, minute_trace, run_dir=run_dir, jobs=2)
+        ParallelRunner(run_dir=run_dir, jobs=2).run(flows_grid, minute_trace)
         manifest = json.loads(Path(run_dir, "manifest.json").read_text())
         for shard in manifest["shards"]:
             assert "flows" in shard
@@ -131,7 +131,7 @@ class TestEnginePassivity:
     ):
         bare_grid, _ = grids
         run_dir = str(tmp_path / "run")
-        run_grid(bare_grid, minute_trace, run_dir=run_dir)
+        ParallelRunner(run_dir=run_dir).run(bare_grid, minute_trace)
         manifest = json.loads(Path(run_dir, "manifest.json").read_text())
         for shard in manifest["shards"]:
             assert "flows" not in shard
@@ -141,9 +141,9 @@ class TestEnginePassivity:
         must still resume a run with it on (same fingerprint)."""
         bare_grid, flows_grid = grids
         run_dir = str(tmp_path / "run")
-        run_grid(bare_grid, minute_trace, run_dir=run_dir)
-        result = run_grid(
-            flows_grid, minute_trace, run_dir=run_dir, resume=True
+        ParallelRunner(run_dir=run_dir).run(bare_grid, minute_trace)
+        result = ParallelRunner(run_dir=run_dir, resume=True).run(
+            flows_grid, minute_trace
         )
-        baseline = run_grid(bare_grid, minute_trace)
+        baseline = ParallelRunner().run(bare_grid, minute_trace)
         assert canonical(result) == canonical(baseline)
