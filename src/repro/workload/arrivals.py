@@ -131,7 +131,9 @@ class TrainArrivalModel:
         (timestamps_us, component_indices):
             Float timestamps in microseconds from trace start, strictly
             increasing, and the application-component index of each
-            packet.
+            packet, in the smallest unsigned dtype that holds the
+            mix's largest index (``np.min_scalar_type``: uint8 for
+            every shipped mix).
         """
         rates = np.asarray(rates_pps, dtype=np.float64)
         if rates.ndim != 1:
@@ -205,7 +207,7 @@ class TrainArrivalModel:
         components_per_packet = np.repeat(
             np.concatenate(train_comps), np.concatenate(train_lengths)
         )
-        return timestamps, components_per_packet.astype(np.int64)
+        return timestamps, components_per_packet
 
 
 def _check_train_probs(probs: np.ndarray) -> None:

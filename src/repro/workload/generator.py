@@ -84,16 +84,12 @@ class TraceGenerator:
             intra_gap_mean_us=self.intra_gap_mean_us,
             inter_gap_shape=self.inter_gap_shape,
         )
-        timestamps, components = model.generate(
+        # ``key`` is each packet's component index, already compact.
+        timestamps, key = model.generate(
             rates, rng, train_probs_per_second=train_probs
         )
-
-        # The labels read a compact copy of the component column, so the
-        # int64 one is freed before the sizes' whole-trace grouping.
         mix_components = self.mix.components
-        counts = np.bincount(components, minlength=len(mix_components))
-        key = components.astype(np.min_scalar_type(len(mix_components) - 1))
-        del components
+        counts = np.bincount(key, minlength=len(mix_components))
 
         # Each component draws its packets' sizes in packet order,
         # components in mix order: one stable grouping places them all.
