@@ -13,8 +13,7 @@ import pytest
 from repro.core.evaluation.comparison import population_proportions, score_sample
 from repro.core.evaluation.targets import PACKET_SIZE_TARGET
 from repro.core.sampling.factory import make_sampler
-from repro.netmon.arts import ArtsCollector
-from repro.netmon.node import BackboneNode
+from repro.netmon.node import Node
 from repro.workload.generator import TraceGenerator
 
 
@@ -63,9 +62,9 @@ def test_perf_netmon_minute(benchmark, hour_trace):
     window = hour_trace.slice_packets(0, 30_000)
 
     def run():
-        node = BackboneNode("perf", ArtsCollector())
-        node.process_trace(window)
+        node = Node("perf", interfaces=("t3",))
+        node.process_traces({"t3": window})
         return node
 
     node = benchmark(run)
-    assert node.interface.packets == len(window)
+    assert node.snmp_total_packets() == len(window)

@@ -6,8 +6,7 @@ their headline counters.  The benchmark measures full-object-set
 update throughput (the per-packet cost that motivated sampling).
 """
 
-from repro.netmon.nnstat import NNStatCollector
-from repro.netmon.node import BackboneNode
+from repro.netmon.node import Node
 from repro.netmon.objects import t1_object_set, t3_object_set
 from repro.trace.filters import prefix_interval
 
@@ -27,10 +26,14 @@ def test_table1_object_catalog(benchmark, hour_trace, emit):
     window = prefix_interval(hour_trace, 60 * 1_000_000)
 
     def run():
-        node = BackboneNode(
-            "t1-nss", NNStatCollector(capacity_pps=10**9, objects=t1_object_set())
+        node = Node(
+            "t1-nss",
+            interfaces=("t1",),
+            granularity=1,
+            capacity_pps=10**9,
+            objects=t1_object_set(),
         )
-        node.process_trace(window)
+        node.process_traces({"t1": window})
         return node
 
     node = benchmark(run)
@@ -39,8 +42,8 @@ def test_table1_object_catalog(benchmark, hour_trace, emit):
     t3_names = {o.name for o in t3_object_set()}
     assert t3_names < t1_names or len(t3_names) == 3
 
-    snapshot = node.snapshot()["collector"]["objects"]
-    matrix = node.collector.objects[0]
+    snapshot = node.snapshot()["objects"]
+    matrix = node.objects[0]
     lines = ["Table 1: packet categorization objects (Y = maintained)"]
     lines.append("%-45s %4s %4s" % ("object", "T1", "T3"))
     for label, on_t1, on_t3 in TABLE1_ROWS:
@@ -53,7 +56,7 @@ def test_table1_object_catalog(benchmark, hour_trace, emit):
         "one minute through a T1 node: %d packets categorized into %d "
         "matrix pairs; busiest pair %s with %d packets"
         % (
-            node.collector.examined_packets,
+            node.characterized_packets,
             len(snapshot["net-matrix"]["packets"]),
             matrix.top_pairs(1)[0][0],
             matrix.top_pairs(1)[0][1],
@@ -61,4 +64,4 @@ def test_table1_object_catalog(benchmark, hour_trace, emit):
     )
     emit("\n".join(lines))
 
-    assert node.collector.examined_packets == len(window)
+    assert node.characterized_packets == len(window)

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.analysis.confidence import wilson_interval
 from repro.netmon.objects import PortDistribution
-from repro.netmon.t3node import T3Node
+from repro.netmon.node import Node
 from repro.workload.generator import nsfnet_hour_trace
 
 PORTS = {20: "ftp-data", 23: "telnet", 25: "smtp", 53: "dns", 119: "nntp"}
@@ -32,7 +32,7 @@ def main() -> None:
     thirds = [
         trace.select(np.arange(offset, len(trace), 3)) for offset in range(3)
     ]
-    node = T3Node("enss-t3", granularity=50, cpu_capacity_pps=2000)
+    node = Node("enss-t3", granularity=50, capacity_pps=2000)
     node.process_traces(
         {"t3": thirds[0], "ethernet": thirds[1], "fddi": thirds[2]}
     )

@@ -322,7 +322,7 @@ def run_adaptive(
 
 @dataclass
 class T3BudgetDriver:
-    """Budget-first control of a :class:`~repro.netmon.t3node.T3Node`.
+    """Budget-first control of a :class:`~repro.netmon.node.Node`.
 
     The node's firmware selectors are the actuator and its own
     counters are the sensor: after each second of traffic the driver

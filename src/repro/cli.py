@@ -693,21 +693,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_netmon(args: argparse.Namespace) -> int:
-    from repro.netmon.nnstat import NNStatCollector
-    from repro.netmon.node import BackboneNode
+    from repro.netmon.node import Node
+    from repro.netmon.objects import t1_object_set
 
     trace = _load_trace(args)
     with _flag_values():
-        node = BackboneNode(
+        node = Node(
             "node",
-            NNStatCollector(
-                capacity_pps=args.capacity,
-                sampling_granularity=args.granularity,
-            ),
+            interfaces=("t1",),
+            granularity=args.granularity,
+            capacity_pps=args.capacity,
+            objects=t1_object_set(),
         )
-    node.process_trace(trace)
-    snmp = node.interface.packets
-    estimate = node.collector.estimated_total_packets()
+    node.process_traces({"t1": trace})
+    snmp = node.snmp_total_packets()
+    estimate = node.estimated_total_packets()
     print(
         "collector budget %d pps, sampling 1-in-%d"
         % (args.capacity, args.granularity)
@@ -715,7 +715,7 @@ def _cmd_netmon(args: argparse.Namespace) -> int:
     print("  SNMP forwarding-path total: %12d packets" % snmp)
     print("  collector estimate:         %12d packets" % estimate)
     print("  dropped by collector:       %12d selected packets"
-          % node.collector.dropped_packets)
+          % node.dropped_packets)
     if snmp:
         print("  discrepancy:                %11.2f%%"
               % (100 * (snmp - estimate) / snmp))

@@ -238,7 +238,7 @@ class ParallelRunner:
         with obs.span("plan"):
             planner = GridPlanner(grid)
             shards = planner.shards()
-        telemetry = RunTelemetry(self.jobs, obs=obs)
+        telemetry = RunTelemetry(self.jobs, len(shards), obs=obs)
         self.last_telemetry = telemetry
         if self.fault_plan is not None:
             telemetry.chaos = self.fault_plan.describe()

@@ -41,8 +41,10 @@ class RunTelemetry:
     Prometheus exposition never disagree about what happened.
     """
 
-    def __init__(self, jobs: int, obs: Instrumentation) -> None:
+    def __init__(self, jobs: int, shards: int, obs: Instrumentation) -> None:
         self.jobs = jobs
+        #: Shards the run planned, quarantined ones included.
+        self.shards = shards
         self.obs = obs
         #: Every shard's result, replayed ones included, in completion
         #: order.
@@ -130,7 +132,7 @@ class RunTelemetry:
         payload.update({
             "jobs": self.jobs,
             "wall_s": wall,
-            "shards_total": len(self.timings),
+            "shards_total": self.shards,
             "shards_executed": len(executed),
             "shards_skipped": len(self.timings) - len(executed),
             "busy_s": busy_s,

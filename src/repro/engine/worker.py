@@ -27,12 +27,15 @@ common to both paths:
 * pool workers drop a breadcrumb file naming the shard they are
   executing, so when a worker dies abruptly the parent knows which
   shard to blame instead of penalizing everything in flight (a worker
-  the pool teardown itself SIGTERMed is never blamed).
+  the pool teardown itself SIGTERMed is never blamed);
+* a pool worker ends itself once the process that started it is gone,
+  so a SIGKILLed run leaves no worker behind.
 """
 
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
@@ -57,6 +60,9 @@ from repro.trace.trace import Trace
 
 #: Exit status of an injected worker crash (visible in core dumps/strace).
 CRASH_EXIT_CODE = 86
+
+#: How often a pool worker checks that its parent is still alive.
+_PARENT_POLL_S = 0.25
 
 
 @dataclass(frozen=True)
@@ -361,12 +367,29 @@ def init_worker(
     """Pool initializer: map the published trace, build the context.
 
     Runs once per worker process; the column maps live as long as the
-    context's trace does.
+    context's trace does.  It also starts the watch that ends the
+    worker when its parent dies.
     """
     global _WORKER_CONTEXT, _WORKER_FAULTS, _WORKER_CRUMB_DIR
+    threading.Thread(
+        target=_exit_when_orphaned, args=(os.getppid(),), daemon=True
+    ).start()
     _WORKER_CONTEXT = ShardContext(attach_trace(spec), grid)
     _WORKER_FAULTS = fault_plan
     _WORKER_CRUMB_DIR = crumb_dir
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    """End this process once ``parent`` is no longer its parent.
+
+    A SIGKILLed runner cannot tear its pool down, and its workers,
+    reparented, would otherwise run or sleep on.  ``PR_SET_PDEATHSIG``
+    would fire when the thread that forked the worker exits, not the
+    process, so the worker watches its parent pid instead.
+    """
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
 
 
 def run_shard_task(shard: Shard, attempt: int = 0) -> ShardResult:

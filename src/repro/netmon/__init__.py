@@ -12,12 +12,10 @@ environment, driven by the same traces the sampling study uses:
 
 * :mod:`repro.netmon.objects` — the statistical objects of Table 1;
 * :mod:`repro.netmon.snmp` — forwarding-path interface counters;
-* :mod:`repro.netmon.nnstat` — a dedicated collector with finite
-  per-second categorization capacity that drops under overload;
-* :mod:`repro.netmon.arts` — in-firmware 1-in-N selection feeding a
-  central characterization process, with scale-up estimation;
-* :mod:`repro.netmon.node` — a backbone node wiring counters and a
-  collector to an interface;
+* :mod:`repro.netmon.node` — the one collection node of both
+  backbones: interfaces that count every packet and select 1-in-k in
+  firmware, feeding one CPU whose per-second budget drops the excess
+  (a T1 NSS is one interface at k = 1 or 50, a T3 node three at 50);
 * :mod:`repro.netmon.noc` — the central agent polling nodes every
   fifteen minutes and accumulating report series.
 """
@@ -35,10 +33,7 @@ from repro.netmon.objects import (
     t3_object_set,
 )
 from repro.netmon.snmp import InterfaceCounters
-from repro.netmon.nnstat import NNStatCollector
-from repro.netmon.arts import ArtsCollector
-from repro.netmon.node import BackboneNode
-from repro.netmon.t3node import T3Interface, T3Node
+from repro.netmon.node import Interface, Node
 from repro.netmon.noc import CollectionAgent, PollRecord
 from repro.netmon.estimation import aligned_counts, object_phi, scale_up_counts
 from repro.netmon.heavyhitters import MisraGries, TopNMatrix
@@ -56,11 +51,8 @@ __all__ = [
     "t1_object_set",
     "t3_object_set",
     "InterfaceCounters",
-    "NNStatCollector",
-    "ArtsCollector",
-    "BackboneNode",
-    "T3Interface",
-    "T3Node",
+    "Interface",
+    "Node",
     "CollectionAgent",
     "PollRecord",
     "aligned_counts",

@@ -13,8 +13,8 @@ configurable load schedule; the Figure 1 benchmark and the
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.netmon.nnstat import NNStatCollector
-from repro.netmon.node import BackboneNode
+from repro.netmon.node import Node
+from repro.netmon.objects import t1_object_set
 from repro.workload.generator import TraceGenerator
 from repro.workload.rates import RateProcess
 
@@ -84,20 +84,20 @@ def simulate_collection_history(
                 mean=float(load), std=float(load) * 0.2, skewness=0.96
             ),
         ).generate()
-        node = BackboneNode(
+        node = Node(
             "t1-nss",
-            NNStatCollector(
-                capacity_pps=collector_capacity_pps,
-                sampling_granularity=sampling_granularity if sampled else 1,
-            ),
+            interfaces=("t1",),
+            granularity=sampling_granularity if sampled else 1,
+            capacity_pps=collector_capacity_pps,
+            objects=t1_object_set(),
         )
-        node.process_trace(trace)
+        node.process_traces({"t1": trace})
         months.append(
             CollectionMonth(
                 month=month,
                 offered_pps=float(load),
-                snmp_packets=node.interface.packets,
-                categorized_packets=node.collector.estimated_total_packets(),
+                snmp_packets=node.snmp_total_packets(),
+                categorized_packets=node.estimated_total_packets(),
                 sampled=sampled,
             )
         )

@@ -3,14 +3,15 @@
 "Every fifteen minutes, the central agent at the NOC running the
 collection software queries each of the backbone nodes, which report
 and then reset their object counters" (Section 2).
-:class:`CollectionAgent` drives a set of nodes through a trace in
-poll-cycle chunks and accumulates the per-cycle reports.
+:class:`CollectionAgent` drives a set of nodes through their
+interfaces' traffic in poll-cycle chunks and accumulates the per-cycle
+reports.
 """
 
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
-from repro.netmon.node import BackboneNode
+from repro.netmon.node import Node
 from repro.obs.instrument import NULL_OBS
 from repro.trace.filters import time_window
 from repro.trace.trace import Trace
@@ -29,8 +30,8 @@ class PollRecord:
 
     @property
     def snmp_packets(self) -> int:
-        """Forwarding-path packet count for the cycle."""
-        return self.snapshot["interface"]["packets"]
+        """Forwarding-path packet count for the cycle, all interfaces."""
+        return sum(i["packets"] for i in self.snapshot["interfaces"].values())
 
 
 class CollectionAgent:
@@ -38,7 +39,7 @@ class CollectionAgent:
 
     def __init__(
         self,
-        nodes: List[BackboneNode],
+        nodes: List[Node],
         poll_period_s: int = POLL_PERIOD_S,
         obs: Any = NULL_OBS,
     ) -> None:
@@ -54,18 +55,23 @@ class CollectionAgent:
         self.obs = obs
         self.records: List[PollRecord] = []
 
-    def run(self, traffic: Dict[str, Trace]) -> List[PollRecord]:
+    def run(self, traffic: Dict[str, Dict[str, Trace]]) -> List[PollRecord]:
         """Drive each node through its traffic, polling on the cycle.
 
-        ``traffic`` maps node name to the trace entering that node.
-        All traces share a time origin; cycles are aligned wall-clock
-        windows of ``poll_period_s``.
+        ``traffic`` maps node name to ``{interface name: trace}``, the
+        traffic entering that node.  All traces share a time origin;
+        cycles are aligned wall-clock windows of ``poll_period_s``.
         """
         unknown = set(traffic) - {n.name for n in self.nodes}
         if unknown:
             raise ValueError("traffic for unknown nodes: %s" % sorted(unknown))
         horizon_us = max(
-            (int(t.timestamps_us[-1]) + 1 for t in traffic.values() if len(t)),
+            (
+                int(t.timestamps_us[-1]) + 1
+                for node_traffic in traffic.values()
+                for t in node_traffic.values()
+                if len(t)
+            ),
             default=0,
         )
         n_cycles = -(-horizon_us // (self.poll_period_s * 1_000_000))
@@ -73,46 +79,44 @@ class CollectionAgent:
             start = cycle * self.poll_period_s * 1_000_000
             stop = start + self.poll_period_s * 1_000_000
             for node in self.nodes:
-                trace = traffic.get(node.name)
-                if trace is not None:
-                    node.process_trace(time_window(trace, start, stop))
-                snapshot = node.snapshot()
-                self.records.append(
-                    PollRecord(cycle=cycle, node=node.name, snapshot=snapshot)
+                node.process_traces(
+                    {
+                        iface: time_window(trace, start, stop)
+                        for iface, trace in traffic.get(node.name, {}).items()
+                    }
                 )
-                self._record_poll_telemetry(cycle, node.name, snapshot)
+                record = PollRecord(cycle, node.name, node.snapshot())
+                self.records.append(record)
+                self._record_poll_telemetry(record)
                 node.reset()
         return self.records
 
-    def _record_poll_telemetry(
-        self, cycle: int, node: str, snapshot: Dict
-    ) -> None:
+    def _record_poll_telemetry(self, record: PollRecord) -> None:
         """Per-poll counters and a structured event through ``obs``.
 
         Free when observability is off (``obs`` defaults to the shared
         null instrumentation); with it on, every poll cycle becomes a
         ``poll`` event carrying the node's forwarding-path count and
-        the collector's examined/dropped health counters — the live
-        drop-rate feedback Section 2 says operators were missing.
+        its CPU's characterized/dropped counts — the live drop-rate
+        feedback Section 2 says operators were missing.
         """
-        collector = snapshot.get("collector", {})
-        examined = int(collector.get("examined_packets", 0))
-        dropped = int(collector.get("dropped_packets", 0))
-        packets = int(snapshot.get("interface", {}).get("packets", 0))
+        characterized = record.snapshot["characterized_packets"]
+        dropped = record.snapshot["dropped_packets"]
+        packets = record.snmp_packets
         obs = self.obs
         obs.counter("netmon_polls").inc()
         obs.counter("netmon_forwarded_packets").inc(packets)
-        obs.counter("netmon_examined_packets").inc(examined)
+        obs.counter("netmon_examined_packets").inc(characterized)
         obs.counter("netmon_dropped_packets").inc(dropped)
-        offered = examined + dropped
+        offered = characterized + dropped
         if offered:
             obs.gauge("netmon_drop_rate").set(dropped / offered)
         obs.event(
             "poll",
-            cycle=cycle,
-            node=node,
+            cycle=record.cycle,
+            node=record.node,
             packets=packets,
-            examined=examined,
+            examined=characterized,
             dropped=dropped,
         )
 

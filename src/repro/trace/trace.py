@@ -125,11 +125,13 @@ class Trace:
         node-level stream (the T3 architecture: T3, Ethernet, and FDDI
         subsystems deliver selected packets to the RS/6000 processor in
         parallel).  Ties keep the input-trace order, so the merge is
-        deterministic.
+        deterministic.  A lone non-empty input is returned as is.
         """
         traces = [t for t in traces if len(t)]
         if not traces:
             return cls.empty()
+        if len(traces) == 1:
+            return traces[0]
         timestamps = np.concatenate([t.timestamps_us for t in traces])
         order = np.argsort(timestamps, kind="stable")
         return cls(

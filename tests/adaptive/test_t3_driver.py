@@ -9,7 +9,7 @@ from repro.adaptive import (
     ControllerConfig,
     T3BudgetDriver,
 )
-from repro.netmon.t3node import T3Node
+from repro.netmon.node import Node
 from repro.trace.trace import Trace
 
 
@@ -24,7 +24,7 @@ def second_of_traffic(second: int, pps: int, seed: int) -> Trace:
 
 
 def make_driver(budget_pps=20.0, initial=64, cpu_capacity=10_000):
-    node = T3Node("t3-test", interfaces=("t3",), cpu_capacity_pps=cpu_capacity)
+    node = Node("t3-test", interfaces=("t3",), capacity_pps=cpu_capacity)
     controller = AdaptiveController(
         BudgetFirstPolicy(budget_pps=budget_pps),
         ControllerConfig(
@@ -41,7 +41,7 @@ class TestT3BudgetDriver:
     def test_driver_seeds_the_node_granularity(self):
         node, _ = make_driver(initial=256)
         assert node.granularity == 256
-        assert node.interfaces["t3"].subsystem.granularity == 256
+        assert node.interfaces["t3"].selector.granularity == 256
 
     def test_walks_down_to_the_budget_knee(self):
         # 400 pps offered, budget 20 selected pps: the knee is 1/32

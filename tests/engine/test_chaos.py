@@ -10,7 +10,11 @@ so CI can run them as a dedicated job.
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -208,3 +212,71 @@ def test_crash_does_not_charge_the_siblings_it_takes_down():
     ]
     assert sibling not in charged
     assert leaked_dirs() == []
+
+
+#: A two-worker sweep whose every shard sleeps 20 s before its work.
+_SLOW_SWEEP = (
+    "from repro.core.evaluation.experiment import ExperimentGrid\n"
+    "from repro.engine.faults import FaultPlan\n"
+    "from repro.engine.runner import ParallelRunner\n"
+    "from repro.workload.generator import nsfnet_hour_trace\n"
+    "grid = ExperimentGrid(methods=('systematic',), granularities=(2, 4, 8, 16),"
+    " replications=1, seed=1)\n"
+    "plan = FaultPlan.from_spec('slow=1,slow_s=20')\n"
+    "ParallelRunner(jobs=2, fault_plan=plan).run(grid, nsfnet_hour_trace(seed=3,"
+    " duration_s=10))\n"
+)
+
+
+def running(pid):
+    """Whether ``pid`` is a process that has not exited (not a zombie)."""
+    try:
+        with open("/proc/%d/stat" % pid) as stream:
+            stat = stream.read()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_sigkilled_runner_leaves_no_worker(tmp_path):
+    """A SIGKILLed runner cannot tear its pool down; its workers see
+    their parent gone and end themselves within a few seconds."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runner = subprocess.Popen(
+        [sys.executable, "-c", _SLOW_SWEEP],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    workers = []
+    try:
+        # Each worker names its breadcrumb for its pid while it holds a
+        # (slow) shard.
+        deadline = time.monotonic() + 120
+        while len(workers) < 2:
+            assert runner.poll() is None, "the sweep ended before its workers ran"
+            assert time.monotonic() < deadline, "no worker took a shard"
+            time.sleep(0.1)
+            workers = [
+                int(name)
+                for crumbs in tmp_path.glob("repro-crumbs-%d-*" % runner.pid)
+                for name in os.listdir(crumbs)
+            ]
+        runner.kill()
+        runner.wait(timeout=30)
+        deadline = time.monotonic() + 5
+        while any(running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert [pid for pid in workers if running(pid)] == []
+    finally:
+        if runner.poll() is None:
+            runner.kill()
+            runner.wait(timeout=30)
+        for pid in workers:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -1,10 +1,16 @@
-"""NNStat and ARTS collectors: capacity, sampling, estimation."""
+"""The collection node's building blocks, in both backbones' settings.
+
+NNStat (the T1 NSS) is a one-interface node with k = 1, or 50 after
+September 1991, and the full Table 1 object set.  ARTS (the T3) is a
+node whose interface subsystems select 1-in-50 in firmware, with the
+T3 subset of the objects.  Both are :class:`~repro.netmon.node.Node`.
+"""
 
 import numpy as np
 import pytest
 
-from repro.netmon.arts import ArtsCollector, Subsystem
-from repro.netmon.nnstat import NNStatCollector
+from repro.netmon.node import Interface, Node
+from repro.netmon.objects import t1_object_set
 from repro.netmon.snmp import InterfaceCounters
 from repro.trace.trace import Trace
 
@@ -14,6 +20,22 @@ def second_of_packets(n, size=100):
         timestamps_us=np.linspace(0, 999_999, n).astype(np.int64),
         sizes=[size] * n,
     )
+
+
+def nnstat_node(capacity_pps, granularity=1):
+    """A T1 NSS: one interface, the full Table 1 object set."""
+    return Node(
+        "t1-nss",
+        interfaces=("t1",),
+        granularity=granularity,
+        capacity_pps=capacity_pps,
+        objects=t1_object_set(),
+    )
+
+
+def arts_node(**kwargs):
+    """One T3 interface subsystem feeding the ARTS CPU."""
+    return Node("t3-enss", interfaces=("t3",), **kwargs)
 
 
 class TestInterfaceCounters:
@@ -31,120 +53,130 @@ class TestInterfaceCounters:
 
 
 class TestNNStatCollector:
+    """The T1 NSS setting: one interface, k = 1 or 50, all objects."""
+
     def test_under_capacity_examines_all(self):
-        collector = NNStatCollector(capacity_pps=500)
-        collector.process_second(second_of_packets(300))
-        assert collector.examined_packets == 300
-        assert collector.dropped_packets == 0
+        node = nnstat_node(capacity_pps=500)
+        node.process_second({"t1": second_of_packets(300)})
+        assert node.characterized_packets == 300
+        assert node.dropped_packets == 0
 
     def test_over_capacity_drops_excess(self):
-        collector = NNStatCollector(capacity_pps=500)
-        collector.process_second(second_of_packets(800))
-        assert collector.examined_packets == 500
-        assert collector.dropped_packets == 300
+        node = nnstat_node(capacity_pps=500)
+        node.process_second({"t1": second_of_packets(800)})
+        assert node.characterized_packets == 500
+        assert node.dropped_packets == 300
 
     def test_objects_see_only_examined(self):
-        collector = NNStatCollector(capacity_pps=100)
-        collector.process_second(second_of_packets(400))
-        matrix = collector.objects[0]
+        node = nnstat_node(capacity_pps=100)
+        node.process_second({"t1": second_of_packets(400)})
+        matrix = node.objects[0]
         assert matrix.total_packets() == 100
 
     def test_sampling_reduces_offered_load(self):
-        collector = NNStatCollector(capacity_pps=100, sampling_granularity=50)
-        collector.process_second(second_of_packets(4000))
-        assert collector.examined_packets == 80
-        assert collector.dropped_packets == 0
+        node = nnstat_node(capacity_pps=100, granularity=50)
+        node.process_second({"t1": second_of_packets(4000)})
+        assert node.characterized_packets == 80
+        assert node.dropped_packets == 0
 
     def test_sampling_phase_continuity(self):
         """Every 50th packet overall, across second boundaries."""
-        collector = NNStatCollector(capacity_pps=10_000, sampling_granularity=50)
-        collector.process_second(second_of_packets(75))
-        collector.process_second(second_of_packets(75))
+        node = nnstat_node(capacity_pps=10_000, granularity=50)
+        node.process_second({"t1": second_of_packets(75)})
+        node.process_second({"t1": second_of_packets(75)})
         # Packets 0, 50 from the first batch; global packet 100 is
         # local index 25 of the second batch.
-        assert collector.examined_packets == 3
+        assert node.characterized_packets == 3
 
     def test_estimated_total(self):
-        collector = NNStatCollector(capacity_pps=10_000, sampling_granularity=50)
-        collector.process_second(second_of_packets(5000))
-        assert collector.estimated_total_packets() == 5000
+        node = nnstat_node(capacity_pps=10_000, granularity=50)
+        node.process_second({"t1": second_of_packets(5000)})
+        assert node.estimated_total_packets() == 5000
 
     def test_reset(self):
-        collector = NNStatCollector(capacity_pps=100)
-        collector.process_second(second_of_packets(400))
-        collector.reset()
-        assert collector.examined_packets == 0
-        assert collector.dropped_packets == 0
-        assert collector.objects[0].total_packets() == 0
+        node = nnstat_node(capacity_pps=100)
+        node.process_second({"t1": second_of_packets(400)})
+        node.reset()
+        assert node.characterized_packets == 0
+        assert node.dropped_packets == 0
+        assert node.objects[0].total_packets() == 0
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="capacity must be at least 1"):
+            nnstat_node(capacity_pps=0)
         with pytest.raises(ValueError):
-            NNStatCollector(capacity_pps=0)
-        with pytest.raises(ValueError):
-            NNStatCollector(capacity_pps=10, sampling_granularity=0)
+            nnstat_node(capacity_pps=10, granularity=0)
 
 
 class TestSubsystem:
+    """One interface card: SNMP counters and the firmware selector."""
+
     def test_selects_every_nth(self):
-        sub = Subsystem(granularity=10)
-        selected = sub.select(second_of_packets(100))
+        iface = Interface(granularity=10)
+        selected = iface.forward_second(second_of_packets(100))
         assert len(selected) == 10
+        assert iface.counters.packets == 100
 
     def test_phase_carries_across_batches(self):
-        sub = Subsystem(granularity=50)
+        iface = Interface(granularity=50)
         total = 0
         for _ in range(4):
-            total += len(sub.select(second_of_packets(75)))
+            total += len(iface.forward_second(second_of_packets(75)))
         assert total == 6  # 300 packets / 50
 
     def test_granularity_one_passthrough(self):
-        sub = Subsystem(granularity=1)
+        iface = Interface(granularity=1)
         batch = second_of_packets(42)
-        assert sub.select(batch) == batch
+        assert iface.forward_second(batch) == batch
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Subsystem(granularity=0)
+            Interface(granularity=0)
 
 
 class TestArtsCollector:
+    """The T3 setting: 1-in-50 firmware selection, the T3 objects."""
+
     def test_default_granularity_is_fifty(self):
-        assert ArtsCollector().granularity == 50
+        assert arts_node().granularity == 50
 
     def test_characterizes_selected_packets(self):
-        collector = ArtsCollector(granularity=50, cpu_capacity_pps=2000)
-        collector.process_second(second_of_packets(5000))
-        assert collector.characterized_packets == 100
-        assert collector.dropped_packets == 0
+        node = arts_node(granularity=50, capacity_pps=2000)
+        node.process_second({"t3": second_of_packets(5000)})
+        assert node.characterized_packets == 100
+        assert node.dropped_packets == 0
 
     def test_cpu_capacity_limits(self):
-        collector = ArtsCollector(granularity=2, cpu_capacity_pps=100)
-        collector.process_second(second_of_packets(1000))
-        assert collector.characterized_packets == 100
-        assert collector.dropped_packets == 400
+        node = arts_node(granularity=2, capacity_pps=100)
+        node.process_second({"t3": second_of_packets(1000)})
+        assert node.characterized_packets == 100
+        assert node.dropped_packets == 400
 
     def test_estimated_total(self):
-        collector = ArtsCollector(granularity=50, cpu_capacity_pps=2000)
-        collector.process_second(second_of_packets(5000))
-        assert collector.estimated_total_packets() == 5000
+        node = arts_node(granularity=50, capacity_pps=2000)
+        node.process_second({"t3": second_of_packets(5000)})
+        assert node.estimated_total_packets() == 5000
 
     def test_t3_objects_by_default(self):
-        names = [o.name for o in ArtsCollector().objects]
+        names = [o.name for o in arts_node().objects]
         assert names == ["net-matrix", "port-distribution", "protocol-distribution"]
 
     def test_snapshot_structure(self):
-        collector = ArtsCollector()
-        collector.process_second(second_of_packets(500))
-        snap = collector.snapshot()
+        node = arts_node()
+        node.process_second({"t3": second_of_packets(500)})
+        snap = node.snapshot()
         assert snap["granularity"] == 50
+        assert snap["interfaces"] == {"t3": {"packets": 500, "bytes": 50_000}}
+        assert snap["characterized_packets"] == 10
+        assert snap["dropped_packets"] == 0
         assert "net-matrix" in snap["objects"]
 
     def test_reset(self):
-        collector = ArtsCollector()
-        collector.process_second(second_of_packets(500))
-        collector.reset()
-        assert collector.characterized_packets == 0
+        node = arts_node()
+        node.process_second({"t3": second_of_packets(500)})
+        node.reset()
+        assert node.characterized_packets == 0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ArtsCollector(cpu_capacity_pps=0)
+        with pytest.raises(ValueError, match="capacity must be at least 1"):
+            arts_node(capacity_pps=0)

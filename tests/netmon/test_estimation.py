@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.metrics.registry import evaluate_all
-from repro.netmon.arts import ArtsCollector
 from repro.netmon.estimation import aligned_counts, object_phi, scale_up_counts
+from repro.netmon.node import Node
 from repro.netmon.objects import PortDistribution, ProtocolDistribution
 
 
@@ -76,13 +76,12 @@ class TestEndToEnd:
     def test_sampled_protocol_object_faithful(self, minute_trace):
         full_obj = ProtocolDistribution()
         full_obj.observe(minute_trace)
-        collector = ArtsCollector(granularity=50, cpu_capacity_pps=10_000)
-        import numpy as np
+        node = Node("t3", interfaces=("t3",), granularity=50, capacity_pps=10_000)
 
         # Feed the minute in one big "second" (capacity is ample).
-        collector.process_second(minute_trace)
+        node.process_second({"t3": minute_trace})
         sampled_obj = next(
-            o for o in collector.objects if isinstance(o, ProtocolDistribution)
+            o for o in node.objects if isinstance(o, ProtocolDistribution)
         )
         phi = object_phi(
             full_obj.snapshot()["packets"], sampled_obj.snapshot()["packets"]
@@ -92,13 +91,13 @@ class TestEndToEnd:
     def test_scaled_port_volumes_accurate(self, minute_trace):
         full_obj = PortDistribution()
         full_obj.observe(minute_trace)
-        collector = ArtsCollector(granularity=50, cpu_capacity_pps=10**9)
-        collector.process_second(minute_trace)
+        node = Node("t3", interfaces=("t3",), granularity=50, capacity_pps=10**9)
+        node.process_second({"t3": minute_trace})
         sampled_obj = next(
-            o for o in collector.objects if isinstance(o, PortDistribution)
+            o for o in node.objects if isinstance(o, PortDistribution)
         )
         estimates = scale_up_counts(
-            sampled_obj.snapshot()["packets"], collector.granularity
+            sampled_obj.snapshot()["packets"], node.granularity
         )
         truth = full_obj.snapshot()["packets"]
         for port, true_count in truth.items():

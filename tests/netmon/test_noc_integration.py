@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.netmon.arts import ArtsCollector
-from repro.netmon.nnstat import NNStatCollector
-from repro.netmon.node import BackboneNode
+from repro.netmon.node import Node
 from repro.netmon.noc import CollectionAgent
+from repro.netmon.objects import t1_object_set
 
 
 @pytest.fixture(scope="module")
@@ -15,13 +14,17 @@ def noc_run(request):
     polled on a one-minute cycle."""
     trace = request.getfixturevalue("five_minute_trace")
     nodes = [
-        BackboneNode("t3-enss", ArtsCollector(granularity=50)),
-        BackboneNode(
-            "t1-nss", NNStatCollector(capacity_pps=300, sampling_granularity=1)
+        Node("t3-enss", interfaces=("t3",), granularity=50),
+        Node(
+            "t1-nss",
+            interfaces=("t1",),
+            granularity=1,
+            capacity_pps=300,
+            objects=t1_object_set(),
         ),
     ]
     agent = CollectionAgent(nodes, poll_period_s=60)
-    records = agent.run({"t3-enss": trace, "t1-nss": trace})
+    records = agent.run({"t3-enss": {"t3": trace}, "t1-nss": {"t1": trace}})
     return trace, agent, records
 
 
@@ -46,9 +49,7 @@ class TestMultiCycleCollection:
         ]
         assert len(full_cycles) == 5
         for record in full_cycles:
-            characterized = record.snapshot["collector"][
-                "characterized_packets"
-            ]
+            characterized = record.snapshot["characterized_packets"]
             estimate = characterized * 50
             assert estimate == pytest.approx(record.snmp_packets, rel=0.03)
 
@@ -59,33 +60,26 @@ class TestMultiCycleCollection:
         ]
         assert len(full_cycles) == 5
         for record in full_cycles:
-            examined = record.snapshot["collector"]["examined_packets"]
+            characterized = record.snapshot["characterized_packets"]
             # The 300 pps budget is below the ~425 pps offered load.
-            assert examined < record.snmp_packets
-            assert record.snapshot["collector"]["dropped_packets"] > 0
+            assert characterized < record.snmp_packets
+            assert record.snapshot["dropped_packets"] > 0
 
     def test_objects_reset_between_cycles(self, noc_run):
         """Matrix totals per cycle match that cycle's characterized count."""
         _trace, agent, _records = noc_run
         for record in agent.node_series("t3-enss"):
             matrix_pkts = sum(
-                record.snapshot["collector"]["objects"]["net-matrix"][
-                    "packets"
-                ].values()
+                record.snapshot["objects"]["net-matrix"]["packets"].values()
             )
-            assert (
-                matrix_pkts
-                == record.snapshot["collector"]["characterized_packets"]
-            )
+            assert matrix_pkts == record.snapshot["characterized_packets"]
 
     def test_port_mix_stable_across_cycles(self, noc_run):
         """The sampled port mix is consistent cycle to cycle."""
         _trace, agent, _records = noc_run
         telnet_shares = []
         for record in agent.node_series("t3-enss"):
-            ports = record.snapshot["collector"]["objects"][
-                "port-distribution"
-            ]["packets"]
+            ports = record.snapshot["objects"]["port-distribution"]["packets"]
             total = sum(ports.values())
             if total:
                 telnet_shares.append(ports.get(23, 0) / total)

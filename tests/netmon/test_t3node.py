@@ -1,10 +1,10 @@
-"""Multi-subsystem T3 node."""
+"""A T3 node: several interface subsystems feeding one CPU."""
 
 import numpy as np
 import pytest
 
 from repro.core.sampling.streaming import StreamingSystematic
-from repro.netmon.t3node import T3Node
+from repro.netmon.node import Node
 from repro.trace.trace import Trace
 
 
@@ -34,6 +34,9 @@ class TestTraceMerge:
         assert len(Trace.merge([])) == 0
         assert len(Trace.merge([Trace.empty(), Trace.empty()])) == 0
 
+    def test_merge_returns_a_lone_input_as_is(self, tiny_trace):
+        assert Trace.merge([Trace.empty(), tiny_trace]) is tiny_trace
+
     def test_merge_preserves_columns(self, tiny_trace):
         merged = Trace.merge([tiny_trace.slice_packets(0, 5),
                               tiny_trace.slice_packets(5)])
@@ -42,7 +45,7 @@ class TestTraceMerge:
 
 class TestT3Node:
     def test_parallel_subsystems_select_independently(self):
-        node = T3Node("enss", granularity=10, cpu_capacity_pps=10_000)
+        node = Node("enss", granularity=10, capacity_pps=10_000)
         node.process_second(
             {
                 "t3": second_of_packets(100),
@@ -54,12 +57,12 @@ class TestT3Node:
         assert node.characterized_packets == 10 + 5 + 3
 
     def test_estimated_total(self):
-        node = T3Node("enss", granularity=10, cpu_capacity_pps=10_000)
+        node = Node("enss", granularity=10, capacity_pps=10_000)
         node.process_second({"t3": second_of_packets(1000)})
         assert node.estimated_total_packets() == 1000
 
     def test_cpu_budget_applies_to_merged_stream(self):
-        node = T3Node("enss", granularity=2, cpu_capacity_pps=60)
+        node = Node("enss", granularity=2, capacity_pps=60)
         node.process_second(
             {"t3": second_of_packets(100), "ethernet": second_of_packets(100)}
         )
@@ -67,8 +70,8 @@ class TestT3Node:
         assert node.dropped_packets == 40
 
     def test_subsystem_phase_continuity(self):
-        node = T3Node("enss", interfaces=("t3",), granularity=50,
-                      cpu_capacity_pps=10_000)
+        node = Node("enss", interfaces=("t3",), granularity=50,
+                    capacity_pps=10_000)
         for s in range(4):
             node.process_second(
                 {"t3": second_of_packets(75, start_us=s * 1_000_000)}
@@ -80,20 +83,20 @@ class TestT3Node:
             timestamps_us=np.linspace(0, 2_999_999, 300).astype(np.int64),
             sizes=[100] * 300,
         )
-        node_a = T3Node("a", interfaces=("t3",), granularity=10,
-                        cpu_capacity_pps=10_000)
+        node_a = Node("a", interfaces=("t3",), granularity=10,
+                      capacity_pps=10_000)
         node_a.process_traces({"t3": whole})
         assert node_a.snmp_total_packets() == 300
         assert node_a.characterized_packets == 30
 
     def test_unknown_interface_rejected(self):
-        node = T3Node("enss", interfaces=("t3",))
+        node = Node("enss", interfaces=("t3",))
         with pytest.raises(ValueError, match="unknown"):
             node.process_second({"atm": second_of_packets(10)})
 
     def test_snapshot_and_reset(self):
-        node = T3Node("enss", interfaces=("t3", "fddi"), granularity=10,
-                      cpu_capacity_pps=10_000)
+        node = Node("enss", interfaces=("t3", "fddi"), granularity=10,
+                    capacity_pps=10_000)
         node.process_second(
             {"t3": second_of_packets(100), "fddi": second_of_packets(50)}
         )
@@ -106,22 +109,22 @@ class TestT3Node:
         assert node.characterized_packets == 0
 
     def test_missing_interface_traffic_allowed(self):
-        node = T3Node("enss", interfaces=("t3", "fddi"))
+        node = Node("enss", interfaces=("t3", "fddi"))
         node.process_second({"t3": second_of_packets(100)})
         assert node.snmp_total_packets() == 100
 
     def test_validation(self):
         with pytest.raises(ValueError, match="interface"):
-            T3Node("x", interfaces=())
+            Node("x", interfaces=())
         with pytest.raises(ValueError, match="unique"):
-            T3Node("x", interfaces=("t3", "t3"))
+            Node("x", interfaces=("t3", "t3"))
         with pytest.raises(ValueError, match="capacity"):
-            T3Node("x", cpu_capacity_pps=0)
+            Node("x", capacity_pps=0)
 
     def test_accurate_under_realistic_load(self, minute_trace):
         """Three-way split of the minute: estimates still track SNMP."""
         third = len(minute_trace) // 3
-        node = T3Node("enss", cpu_capacity_pps=2000)
+        node = Node("enss", capacity_pps=2000)
         node.process_traces(
             {
                 "t3": minute_trace.select(np.arange(0, len(minute_trace), 3)),
@@ -148,19 +151,19 @@ class TestRekeying:
             "fddi": minute_trace.select(np.arange(1, len(minute_trace), 2)),
         }
         rekeys = {7: 16, 19: 3, 31: 64, 44: 1, 50: 37}
-        node = T3Node("enss", interfaces=tuple(traffic), granularity=50,
-                      cpu_capacity_pps=10**9)
+        node = Node("enss", interfaces=tuple(traffic), granularity=50,
+                    capacity_pps=10**9)
         selected = {name: [] for name in traffic}
 
-        def recording(name, select):
-            def select_and_record(batch):
-                chosen = select(batch)
+        def recording(name, forward_second):
+            def forward_and_record(batch):
+                chosen = forward_second(batch)
                 selected[name].append(chosen)
                 return chosen
-            return select_and_record
+            return forward_and_record
 
         for name, iface in node.interfaces.items():
-            iface.subsystem.select = recording(name, iface.subsystem.select)
+            iface.forward_second = recording(name, iface.forward_second)
 
         references = {name: StreamingSystematic(50) for name in traffic}
         decisions = {name: [] for name in traffic}

@@ -5,10 +5,9 @@ import io
 import numpy as np
 import pytest
 
-from repro.netmon.nnstat import NNStatCollector
+from repro.netmon.node import Node
 from repro.netmon.noc import CollectionAgent
-from repro.netmon.node import BackboneNode
-from repro.netmon.t3node import T3Node
+from repro.netmon.objects import t1_object_set
 from repro.obs import Instrumentation
 from repro.trace.pcap import iter_pcap, write_pcap
 from repro.trace.trace import Trace
@@ -21,12 +20,22 @@ def steady_trace(n=4000, iat_us=500, size=100):
     )
 
 
+def nnstat_node(name, capacity_pps, granularity=1):
+    return Node(
+        name,
+        interfaces=("t1",),
+        granularity=granularity,
+        capacity_pps=capacity_pps,
+        objects=t1_object_set(),
+    )
+
+
 class TestCollectionAgentTelemetry:
     def overloaded_run(self, obs):
         # 2000 pps offered against a 500 pps collector: drops guaranteed.
-        node = BackboneNode("ann", NNStatCollector(capacity_pps=500))
+        node = nnstat_node("ann", capacity_pps=500)
         agent = CollectionAgent([node], poll_period_s=1, obs=obs)
-        return agent.run({"ann": steady_trace()})
+        return agent.run({"ann": {"t1": steady_trace()}})
 
     def test_poll_counters_and_drop_rate(self):
         obs = Instrumentation()
@@ -42,6 +51,29 @@ class TestCollectionAgentTelemetry:
             dropped / 4000
         )
 
+    @pytest.mark.parametrize(
+        "make_node",
+        [
+            lambda: nnstat_node("n", capacity_pps=100, granularity=2),
+            lambda: Node("n", interfaces=("t3",), granularity=2, capacity_pps=100),
+        ],
+        ids=["nnstat", "arts"],
+    )
+    def test_sampled_node_drop_accounting(self, make_node):
+        """1-in-2 of 1,000 pps for 2 s against a 100 pps CPU: the CPU
+        is offered 1,000 packets, characterizes 200 and drops 800."""
+        node = make_node()
+        obs = Instrumentation()
+        agent = CollectionAgent([node], poll_period_s=2, obs=obs)
+        traffic = steady_trace(n=2000, iat_us=1000)
+        records = agent.run({"n": {iface: traffic for iface in node.interfaces}})
+        assert len(records) == 1
+        assert obs.counter("netmon_examined_packets").value == 200
+        assert obs.counter("netmon_dropped_packets").value == 800
+        assert obs.gauge("netmon_drop_rate").value == pytest.approx(0.8)
+        (poll,) = [e for e in obs.events if e["kind"] == "poll"]
+        assert (poll["examined"], poll["dropped"]) == (200, 800)
+
     def test_poll_events_mirror_the_records(self):
         obs = Instrumentation()
         records = self.overloaded_run(obs)
@@ -55,26 +87,25 @@ class TestCollectionAgentTelemetry:
     def test_silent_by_default(self, capsys):
         """Without an obs the agent runs exactly as before: no sink, no cost."""
         plain = CollectionAgent(
-            [BackboneNode("ann", NNStatCollector(capacity_pps=500))],
-            poll_period_s=1,
+            [nnstat_node("ann", capacity_pps=500)], poll_period_s=1
         )
         observed_records = self.overloaded_run(Instrumentation())
-        plain_records = plain.run({"ann": steady_trace()})
+        plain_records = plain.run({"ann": {"t1": steady_trace()}})
         assert len(plain_records) == len(observed_records)
         for mine, theirs in zip(plain_records, observed_records):
             assert mine.snmp_packets == theirs.snmp_packets
-            for key in ("examined_packets", "dropped_packets"):
-                assert mine.snapshot["collector"][key] == theirs.snapshot["collector"][key]
+            for key in ("characterized_packets", "dropped_packets"):
+                assert mine.snapshot[key] == theirs.snapshot[key]
 
 
 class TestT3NodeTelemetry:
     def test_cpu_budget_counters(self):
         obs = Instrumentation()
-        node = T3Node(
+        node = Node(
             "t3",
             interfaces=("t3",),
             granularity=1,
-            cpu_capacity_pps=100,
+            capacity_pps=100,
             obs=obs,
         )
         node.process_traces({"t3": steady_trace(n=1000, iat_us=500)})
@@ -90,9 +121,9 @@ class TestT3NodeTelemetry:
 
     def test_results_identical_with_and_without_obs(self):
         trace = steady_trace(n=1000)
-        plain = T3Node("a", interfaces=("t3",), cpu_capacity_pps=5)
-        observed = T3Node(
-            "b", interfaces=("t3",), cpu_capacity_pps=5, obs=Instrumentation()
+        plain = Node("a", interfaces=("t3",), capacity_pps=5)
+        observed = Node(
+            "b", interfaces=("t3",), capacity_pps=5, obs=Instrumentation()
         )
         plain.process_traces({"t3": trace})
         observed.process_traces({"t3": trace})

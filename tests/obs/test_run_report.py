@@ -272,7 +272,7 @@ PINNED_MANIFEST = {
     ],
     "shards_executed": 11,
     "shards_skipped": 0,
-    "shards_total": 11,
+    "shards_total": 12,
 }
 
 PINNED_EVENT_KINDS = [
@@ -357,6 +357,11 @@ class TestPinnedRunRecord:
     def test_event_kinds(self, run_dir):
         events = read_events(os.path.join(run_dir, EVENTS_FILENAME))
         assert [event.kind for event in events] == PINNED_EVENT_KINDS
+
+    def test_report_counts_the_planned_shards(self, run_dir):
+        """The quarantined shard is one of the run's total."""
+        text = RunReport.from_run_dir(run_dir).render()
+        assert "12 total / 11 executed / 0 replayed / 1 quarantined" in text
 
     def test_metric_sample_names(self, run_dir):
         with open(os.path.join(run_dir, "metrics.prom")) as stream:

@@ -16,8 +16,8 @@ from repro.core.metrics.chisquare import chi_square
 from repro.core.sampling.base import SamplingResult
 from repro.core.sampling.factory import make_sampler
 from repro.core.sampling.systematic import SystematicSampler
-from repro.netmon.nnstat import NNStatCollector
-from repro.netmon.node import BackboneNode
+from repro.netmon.node import Node
+from repro.netmon.objects import t1_object_set
 from repro.trace.pcap import PcapError, read_pcap, write_pcap
 from repro.trace.trace import Trace
 
@@ -115,31 +115,39 @@ class TestAdversarialMetrics:
             chi_square([5, 5], [float("nan"), 0.5])
 
 
+def t1_node(capacity_pps, granularity=1):
+    return Node(
+        "tiny",
+        interfaces=("t1",),
+        granularity=granularity,
+        capacity_pps=capacity_pps,
+        objects=t1_object_set(),
+    )
+
+
 class TestCollectorExtremes:
     def test_capacity_one(self, minute_trace):
-        node = BackboneNode("tiny", NNStatCollector(capacity_pps=1))
-        node.process_trace(minute_trace.slice_packets(0, 5000))
-        assert node.collector.examined_packets <= 60
-        assert node.interface.packets == 5000
+        node = t1_node(capacity_pps=1)
+        node.process_traces({"t1": minute_trace.slice_packets(0, 5000)})
+        assert node.characterized_packets <= 60
+        assert node.snmp_total_packets() == 5000
 
     def test_granularity_larger_than_traffic(self):
-        collector = NNStatCollector(
-            capacity_pps=100, sampling_granularity=10**6
-        )
+        node = t1_node(capacity_pps=100, granularity=10**6)
         trace = Trace(timestamps_us=np.arange(100) * 1000, sizes=[40] * 100)
-        collector.process_second(trace)
-        assert collector.examined_packets <= 1
+        node.process_second({"t1": trace})
+        assert node.characterized_packets <= 1
 
     def test_burst_into_single_second(self):
         """The entire offered load arriving in one second."""
-        collector = NNStatCollector(capacity_pps=100)
+        node = t1_node(capacity_pps=100)
         trace = Trace(
             timestamps_us=np.linspace(0, 999_999, 50_000).astype(np.int64),
             sizes=[40] * 50_000,
         )
-        collector.process_second(trace)
-        assert collector.examined_packets == 100
-        assert collector.dropped_packets == 49_900
+        node.process_second({"t1": trace})
+        assert node.characterized_packets == 100
+        assert node.dropped_packets == 49_900
 
 
 class TestMutatedTraceDefenses:
