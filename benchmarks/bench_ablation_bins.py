@@ -37,7 +37,7 @@ def run_ablation(window):
     for label, edges in SIZE_BINNINGS.items():
         target = size_target_with(edges)
         proportions = population_proportions(window, target)
-        values = target.attribute_values(window)
+        bin_ids = target.bin_ids(window)
         series = {}
         for granularity in GRANULARITIES:
             result = SystematicSampler(granularity=granularity, phase=1).sample(
@@ -48,7 +48,7 @@ def run_ablation(window):
                 result,
                 target,
                 proportions=proportions,
-                attribute_values=values,
+                bin_ids=bin_ids,
             ).phi
         table[label] = series
     return table

@@ -24,7 +24,7 @@ REPLICATIONS = 50
 
 def run_ablation(window):
     proportions = population_proportions(window, PACKET_SIZE_TARGET)
-    values = PACKET_SIZE_TARGET.attribute_values(window)
+    bin_ids = PACKET_SIZE_TARGET.bin_ids(window)
 
     def phi_of(result):
         return score_sample(
@@ -32,7 +32,7 @@ def run_ablation(window):
             result,
             PACKET_SIZE_TARGET,
             proportions=proportions,
-            attribute_values=values,
+            bin_ids=bin_ids,
         ).phi
 
     systematic = [

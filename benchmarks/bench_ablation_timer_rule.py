@@ -29,7 +29,7 @@ def run_ablation(window):
     caches = {
         target.name: (
             population_proportions(window, target),
-            target.attribute_values(window),
+            target.bin_ids(window),
         )
         for target in PAPER_TARGETS
     }
@@ -42,13 +42,13 @@ def run_ablation(window):
             result = sampler.sample(window)
             phis = {}
             for target in PAPER_TARGETS:
-                proportions, values = caches[target.name]
+                proportions, bin_ids = caches[target.name]
                 phis[target.name] = score_sample(
                     window,
                     result,
                     target,
                     proportions=proportions,
-                    attribute_values=values,
+                    bin_ids=bin_ids,
                 ).phi
             rows.append((granularity, rule, phis))
     return rows

@@ -32,7 +32,7 @@ GRANULARITIES = (16, 64, 256)
 
 def run_study(window):
     proportions = population_proportions(window, PACKET_SIZE_TARGET)
-    values = PACKET_SIZE_TARGET.attribute_values(window)
+    bin_ids = PACKET_SIZE_TARGET.bin_ids(window)
     total_bytes = window.total_bytes
     rows = []
     for granularity in GRANULARITIES:
@@ -42,7 +42,7 @@ def run_study(window):
             packet_result,
             PACKET_SIZE_TARGET,
             proportions=proportions,
-            attribute_values=values,
+            bin_ids=bin_ids,
         ).phi
         # Packet-driven byte estimate: scale sampled bytes by 1/f.
         packet_bytes = (
@@ -59,7 +59,7 @@ def run_study(window):
             byte_result,
             PACKET_SIZE_TARGET,
             proportions=proportions,
-            attribute_values=values,
+            bin_ids=bin_ids,
         ).phi
         _idx, multiplicity = byte_sampler.sample_with_multiplicity(window)
         byte_bytes = byte_volume_estimate(

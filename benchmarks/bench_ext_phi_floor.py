@@ -29,7 +29,7 @@ REPLICATIONS = 10
 
 def run_study(window):
     proportions = population_proportions(window, PACKET_SIZE_TARGET)
-    values = PACKET_SIZE_TARGET.attribute_values(window)
+    bin_ids = PACKET_SIZE_TARGET.bin_ids(window)
     rng = np.random.default_rng(31)
     rows = []
     for granularity in GRANULARITIES:
@@ -42,7 +42,7 @@ def run_study(window):
                 result,
                 PACKET_SIZE_TARGET,
                 proportions=proportions,
-                attribute_values=values,
+                bin_ids=bin_ids,
             )
             phis.append(score.phi)
             sample_size = score.sample_size
@@ -61,7 +61,7 @@ def run_study(window):
         timer.sample(window),
         PACKET_SIZE_TARGET,
         proportions=proportions,
-        attribute_values=values,
+        bin_ids=bin_ids,
     )
     return rows, timer_score.phi
 

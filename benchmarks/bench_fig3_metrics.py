@@ -22,7 +22,7 @@ GRANULARITIES = tuple(2**i for i in range(1, 16))
 
 def sweep(window):
     proportions = population_proportions(window, PACKET_SIZE_TARGET)
-    values = PACKET_SIZE_TARGET.attribute_values(window)
+    bin_ids = PACKET_SIZE_TARGET.bin_ids(window)
     rows = []
     for granularity in GRANULARITIES:
         result = SystematicSampler(granularity=granularity, phase=1).sample(
@@ -33,7 +33,7 @@ def sweep(window):
             result,
             PACKET_SIZE_TARGET,
             proportions=proportions,
-            attribute_values=values,
+            bin_ids=bin_ids,
         )
         rows.append((granularity, score.scores))
     return rows

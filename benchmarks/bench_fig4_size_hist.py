@@ -20,7 +20,7 @@ GRANULARITIES = (4, 64, 1024, 8192, 32768)
 
 def histograms(window):
     proportions = population_proportions(window, PACKET_SIZE_TARGET)
-    values = PACKET_SIZE_TARGET.attribute_values(window)
+    bin_ids = PACKET_SIZE_TARGET.bin_ids(window)
     rows = {"population": proportions}
     phis = {}
     for granularity in GRANULARITIES:
@@ -32,7 +32,7 @@ def histograms(window):
             result,
             PACKET_SIZE_TARGET,
             proportions=proportions,
-            attribute_values=values,
+            bin_ids=bin_ids,
         )
         label = "1/%d" % granularity
         rows[label] = score.observed / score.observed.sum()

@@ -18,7 +18,7 @@ GRANULARITIES = (4, 64, 1024, 8192, 32768)
 
 def histograms(window):
     proportions = population_proportions(window, INTERARRIVAL_TARGET)
-    values = INTERARRIVAL_TARGET.attribute_values(window)
+    bin_ids = INTERARRIVAL_TARGET.bin_ids(window)
     rows = {"population": proportions}
     phis = {"population": 0.0}
     for granularity in GRANULARITIES:
@@ -30,7 +30,7 @@ def histograms(window):
             result,
             INTERARRIVAL_TARGET,
             proportions=proportions,
-            attribute_values=values,
+            bin_ids=bin_ids,
         )
         label = "1/%d" % granularity
         rows[label] = score.observed / score.observed.sum()

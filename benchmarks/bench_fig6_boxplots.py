@@ -23,7 +23,7 @@ REPLICATIONS = 20
 
 def collect_boxplots(window):
     proportions = population_proportions(window, PACKET_SIZE_TARGET)
-    values = PACKET_SIZE_TARGET.attribute_values(window)
+    bin_ids = PACKET_SIZE_TARGET.bin_ids(window)
     rng = np.random.default_rng(6)
     boxes = {}
     for granularity in GRANULARITIES:
@@ -37,7 +37,7 @@ def collect_boxplots(window):
                 result,
                 PACKET_SIZE_TARGET,
                 proportions=proportions,
-                attribute_values=values,
+                bin_ids=bin_ids,
             )
             phis.append(score.phi)
         boxes[granularity] = boxplot_stats(phis)

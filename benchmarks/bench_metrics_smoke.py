@@ -2,20 +2,23 @@
 
 The engine-scaling benchmark times the orchestration layer; this one
 times the metric kernels it dispatches.  For each paper target the
-full scoring pipeline is measured — population proportion extraction,
-attribute-value extraction, and φ scoring of a 1-in-50 systematic
-sample of the calibrated hour — plus synthetic trace generation, the
-other full-trace scan in the hot path.
+full scoring pipeline is measured — binning the population into
+per-packet bin ids, its proportions from those ids, and φ scoring of a
+1-in-50 systematic sample of the calibrated hour, as the engine's
+workers score a window — plus synthetic trace generation, the other
+full-trace scan in the hot path.
 
 Individual kernels (sampling, the φ sum itself) run in microseconds,
 far too noisy for a regression gate; the pipeline aggregates are tens
-of milliseconds and stable.  Extraction over the whole population
-dominates them, though, so the scorer gets a leg of its own:
-``evaluate_all`` run 1,000 times over the hour's 1-in-50 counts of
-both targets, the call every scoring site makes.  Each metric is
-timed over a fixed number of rounds with ``time.perf_counter`` and the
-best round is recorded (min-of-N: the minimum is the least noisy
-estimator on a shared machine).  The record is written next to this
+of milliseconds and stable.  Binning the whole population dominates
+them, though, so the scorer gets a leg of its own: ``evaluate_all``
+run 1,000 times over the hour's 1-in-50 counts of both targets, the
+call every scoring site makes.  The timer samplers' search over the
+hour's timestamps gets one too: both timer methods drawn at each of
+the paper's 15 granularities, as one sweep of the grid does.  Each
+metric is timed over a fixed number of rounds with
+``time.perf_counter`` and the best round is recorded (min-of-N: the
+minimum is the least noisy estimator on a shared machine).  The record is written next to this
 file as ``bench_metrics_smoke.json`` for the CI regression gate.
 """
 
@@ -23,7 +26,14 @@ import json
 import os
 import time
 
-from repro.core.evaluation.comparison import population_proportions, score_sample
+import numpy as np
+
+from repro.core.evaluation.comparison import (
+    bin_id_proportions,
+    population_proportions,
+    score_sample,
+)
+from repro.core.evaluation.experiment import PAPER_GRANULARITIES
 from repro.core.evaluation.targets import PAPER_TARGETS
 from repro.core.metrics.registry import evaluate_all
 from repro.core.sampling.factory import make_sampler
@@ -32,6 +42,7 @@ from repro.workload.generator import TraceGenerator
 GRANULARITY = 50
 ROUNDS = 5
 SCORE_CALLS = 1000
+TIMER_METHODS = ("timer-systematic", "timer-stratified")
 
 
 def _best_of(rounds, fn):
@@ -55,14 +66,13 @@ def test_metrics_smoke(hour_trace, emit):
     for target in PAPER_TARGETS:
 
         def run(target=target):
-            proportions = population_proportions(hour_trace, target)
-            values = target.attribute_values(hour_trace)
+            bin_ids = target.bin_ids(hour_trace)
             return score_sample(
                 hour_trace,
                 result,
                 target,
-                proportions=proportions,
-                attribute_values=values,
+                proportions=bin_id_proportions(target, bin_ids),
+                bin_ids=bin_ids,
             )
 
         assert run().phi >= 0
@@ -82,6 +92,19 @@ def test_metrics_smoke(hour_trace, emit):
                 evaluate_all(observed, proportions, result.fraction)
 
     walls["evaluate_all_x%d" % SCORE_CALLS] = _best_of(ROUNDS, score_all)
+
+    timers = [
+        make_sampler(method, granularity, hour_trace)
+        for method in TIMER_METHODS
+        for granularity in PAPER_GRANULARITIES
+    ]
+
+    def draw_timers():
+        rng = np.random.default_rng(0)
+        for timer in timers:
+            timer.sample(hour_trace, rng=rng)
+
+    walls["timer_samplers_x%d" % len(timers)] = _best_of(ROUNDS, draw_timers)
 
     record = {
         "benchmark": "metrics_smoke",

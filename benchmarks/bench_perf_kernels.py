@@ -43,7 +43,7 @@ def test_perf_scoring(benchmark, hour_trace):
     sampler = make_sampler("systematic", 50)
     result = sampler.sample(hour_trace)
     proportions = population_proportions(hour_trace, PACKET_SIZE_TARGET)
-    values = PACKET_SIZE_TARGET.attribute_values(hour_trace)
+    bin_ids = PACKET_SIZE_TARGET.bin_ids(hour_trace)
 
     def run():
         return score_sample(
@@ -51,7 +51,7 @@ def test_perf_scoring(benchmark, hour_trace):
             result,
             PACKET_SIZE_TARGET,
             proportions=proportions,
-            attribute_values=values,
+            bin_ids=bin_ids,
         )
 
     score = benchmark(run)

@@ -16,6 +16,7 @@ from repro.core.evaluation.targets import (
 )
 from repro.core.evaluation.comparison import (
     SampleScore,
+    bin_id_proportions,
     population_proportions,
     score_sample,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "PACKET_SIZE_TARGET",
     "PAPER_TARGETS",
     "SampleScore",
+    "bin_id_proportions",
     "population_proportions",
     "score_sample",
     "ExperimentGrid",

@@ -14,7 +14,7 @@ recommendation — into a single structured result with a text report.
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.evaluation.comparison import population_proportions
+from repro.core.evaluation.comparison import bin_id_proportions
 from repro.core.evaluation.experiment import ExperimentGrid, ExperimentResult
 from repro.core.evaluation.planner import Recommendation, recommend_configuration
 from repro.core.evaluation.report import format_series_table
@@ -120,14 +120,12 @@ def chi_square_phase_check(
     n_phases = granularity if phases is None else min(phases, granularity)
     checks = []
     for target in PAPER_TARGETS:
-        proportions = population_proportions(trace, target)
-        values = target.attribute_values(trace)
+        bin_ids = target.bin_ids(trace)
+        proportions = bin_id_proportions(target, bin_ids)
         rejections = 0
         for phase in range(n_phases):
             result = SystematicSampler(granularity, phase=phase).sample(trace)
-            observed = target.bins.counts(
-                target.sample_values(trace, result.indices, values=values)
-            )
+            observed = target.bin_id_counts(bin_ids[result.indices])
             if chi_square_test(observed, proportions, alpha=alpha).rejected:
                 rejections += 1
         checks.append(

@@ -17,7 +17,9 @@ to follow an idle period, so its predecessor gap is biased large.
 
 Targets therefore expose two extractors: attribute values for the
 whole population, and attribute values for a set of selected parent
-indices.
+indices.  Scoring reads neither: it bins a population once into
+per-packet bin ids (:meth:`CharacterizationTarget.bin_ids`) and counts
+a sample by gathering its packets' ids.
 """
 
 from dataclasses import dataclass
@@ -81,6 +83,33 @@ class CharacterizationTarget:
             values = self.attribute_values(trace)
         picked = values[np.asarray(indices, dtype=np.int64)]
         return picked[~np.isnan(picked)]
+
+    def bin_ids(self, trace: Trace) -> np.ndarray:
+        """Each packet's bin index, or ``bins.n_bins`` where undefined.
+
+        One comparison pass per edge over :meth:`attribute_values`,
+        with the edges' convention (a value on an edge belongs to the
+        bin above it).  The ids are the smallest unsigned integers that
+        hold ``n_bins`` (uint8 for the paper's bins), so a sweep keeps
+        one small column per window and target and counts each sample
+        from it with :meth:`bin_id_counts`.
+        """
+        values = self.attribute_values(trace)
+        ids = np.zeros(values.shape, dtype=np.min_scalar_type(self.bins.n_bins))
+        for edge in self.bins.edge_array.tolist():
+            ids += values >= edge
+        ids[np.isnan(values)] = self.bins.n_bins
+        return ids
+
+    def bin_id_counts(self, ids: np.ndarray) -> np.ndarray:
+        """Packets per bin among ``ids``; undefined packets are not counted.
+
+        Equal to ``bins.counts`` of the same packets' defined values.
+        """
+        return np.array(
+            [np.count_nonzero(ids == b) for b in range(self.bins.n_bins)],
+            dtype=np.int64,
+        )
 
 
 def _size_attribute(trace: Trace) -> np.ndarray:

@@ -13,12 +13,12 @@ A :class:`BinSpec` wraps the interior edges with labels and the
 counting/proportion helpers the metrics consume.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.stats.histogram import _validated_edges, bin_counts, bin_proportions
+from repro.stats.histogram import _edge_counts, _validated_edges, count_proportions
 
 
 @dataclass(frozen=True)
@@ -26,15 +26,18 @@ class BinSpec:
     """A named set of fixed histogram ranges.
 
     ``edges`` are the interior boundaries; ``len(edges) + 1`` bins
-    result, the first open below and the last open above.
+    result, the first open below and the last open above.  They are
+    validated once, when the spec is built, into ``edge_array``
+    (float64), which the counting helpers use as it stands.
     """
 
     name: str
     edges: Tuple[float, ...]
     unit: str = ""
+    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _validated_edges(self.edges)
+        object.__setattr__(self, "edge_array", _validated_edges(self.edges))
 
     @property
     def n_bins(self) -> int:
@@ -51,11 +54,11 @@ class BinSpec:
 
     def counts(self, values: Sequence[float]) -> np.ndarray:
         """Observed counts per bin."""
-        return bin_counts(values, self.edges)
+        return _edge_counts(values, self.edge_array)
 
     def proportions(self, values: Sequence[float]) -> np.ndarray:
         """Observed proportions per bin."""
-        return bin_proportions(values, self.edges)
+        return count_proportions(self.counts(values))
 
 
 #: The paper's packet-size bins (bytes): ACK-sized, interactive, bulk.

@@ -53,9 +53,14 @@ def next_arrivals(timestamps_us: np.ndarray, firings: np.ndarray) -> np.ndarray:
     """Positions of the next packet to arrive at or after each firing.
 
     A firing after the last arrival selects nothing, and several
-    firings in one gap select their packet once.
+    firings in one gap select their packet once.  Timestamps are
+    integers, so the first one at or after a firing is the first at or
+    after its ceiling: integer needles search the int64 column as it
+    stands, where float ones would convert all of it on every call.
     """
-    hits = np.searchsorted(timestamps_us, firings, side="left")
+    hits = np.searchsorted(
+        timestamps_us, np.ceil(firings).astype(np.int64), side="left"
+    )
     hits = hits[hits < timestamps_us.size]
     return unique_hits(hits).astype(np.int64, copy=False)
 
@@ -119,8 +124,10 @@ class TimerSampler(Sampler):
         firings = self._firing_times(start, stop, rng)
         if self.selection_rule == "next":
             return next_arrivals(trace.timestamps_us, firings)
-        # Most recent packet at or before each firing.
-        idx = np.searchsorted(trace.timestamps_us, firings, side="right") - 1
+        # Most recent packet at or before each firing, which is the most
+        # recent at or before its floor (see next_arrivals).
+        needles = np.floor(firings).astype(np.int64)
+        idx = np.searchsorted(trace.timestamps_us, needles, side="right") - 1
         idx = idx[idx >= 0]
         return unique_hits(idx).astype(np.int64, copy=False)
 

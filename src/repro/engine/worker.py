@@ -7,11 +7,12 @@ exactly one implementation of "run a shard": the serial runner calls
 module-level task function after mapping the published trace's column
 files.  There is no second "fast path" to drift.
 
-Per-process caching: window extraction, population proportions, and
-attribute arrays are O(population) per (interval, target) pair and are
-identical for every shard of an interval, so each process memoizes
-them in its :class:`ShardContext`.  The cache affects only speed —
-cached and uncached shards produce the same records.
+Per-process caching: window extraction and the window's per-packet bin
+ids are O(population) per (interval, target) pair and are identical for
+every shard of an interval, so each process memoizes them, and the
+population proportions counted from the ids, in its
+:class:`ShardContext`.  The cache affects only speed — cached and
+uncached shards produce the same records.
 
 Fault tolerance plumbing lives at this layer too, because it must be
 common to both paths:
@@ -43,6 +44,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.evaluation.comparison import (
+    bin_id_proportions,
     population_proportions,
     score_sample,
 )
@@ -129,7 +131,7 @@ class ShardContext:
     def window(
         self, interval_us: Optional[int]
     ) -> Tuple[Trace, Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-        """The interval's window, scoring proportions, and attributes."""
+        """The interval's window, scoring proportions, and bin ids."""
         if interval_us not in self._windows:
             window = (
                 self.trace
@@ -137,20 +139,17 @@ class ShardContext:
                 else prefix_interval(self.trace, interval_us)
             )
             if len(window):
+                ids = {t.name: t.bin_ids(window) for t in self.grid.targets}
                 if self.grid.score_against == "full":
                     proportions = self.full_proportions()
                 else:
                     proportions = {
-                        t.name: population_proportions(window, t)
+                        t.name: bin_id_proportions(t, ids[t.name])
                         for t in self.grid.targets
                     }
-                values = {
-                    t.name: t.attribute_values(window)
-                    for t in self.grid.targets
-                }
             else:
-                proportions, values = {}, {}
-            self._windows[interval_us] = (window, proportions, values)
+                proportions, ids = {}, {}
+            self._windows[interval_us] = (window, proportions, ids)
         return self._windows[interval_us]
 
 
@@ -178,7 +177,7 @@ def execute_shard(
     """
     marks = time.perf_counter if phases is not None else None
     t0 = marks() if marks else 0.0
-    window, proportions, values = context.window(shard.interval_us)
+    window, proportions, bin_ids = context.window(shard.interval_us)
     if marks:
         phases["window"] = phases.get("window", 0.0) + marks() - t0
     if not len(window):
@@ -204,7 +203,7 @@ def execute_shard(
             result,
             target,
             proportions=proportions[target.name],
-            attribute_values=values[target.name],
+            bin_ids=bin_ids[target.name],
         )
         records.append(
             ExperimentRecord(

@@ -78,6 +78,7 @@ class CollectionAgent:
         for cycle in range(int(n_cycles)):
             start = cycle * self.poll_period_s * 1_000_000
             stop = start + self.poll_period_s * 1_000_000
+            polls = []
             for node in self.nodes:
                 node.process_traces(
                     {
@@ -87,15 +88,17 @@ class CollectionAgent:
                 )
                 record = PollRecord(cycle, node.name, node.snapshot())
                 self.records.append(record)
+                polls.append(record)
                 self._record_poll_telemetry(record)
                 node.reset()
+            self._record_drop_rate(polls)
         return self.records
 
     def _record_poll_telemetry(self, record: PollRecord) -> None:
         """Per-poll counters and a structured event through ``obs``.
 
         Free when observability is off (``obs`` defaults to the shared
-        null instrumentation); with it on, every poll cycle becomes a
+        null instrumentation); with it on, every poll becomes a
         ``poll`` event carrying the node's forwarding-path count and
         its CPU's characterized/dropped counts — the live drop-rate
         feedback Section 2 says operators were missing.
@@ -108,9 +111,6 @@ class CollectionAgent:
         obs.counter("netmon_forwarded_packets").inc(packets)
         obs.counter("netmon_examined_packets").inc(characterized)
         obs.counter("netmon_dropped_packets").inc(dropped)
-        offered = characterized + dropped
-        if offered:
-            obs.gauge("netmon_drop_rate").set(dropped / offered)
         obs.event(
             "poll",
             cycle=record.cycle,
@@ -119,6 +119,18 @@ class CollectionAgent:
             examined=characterized,
             dropped=dropped,
         )
+
+    def _record_drop_rate(self, polls: List[PollRecord]) -> None:
+        """Set ``netmon_drop_rate`` to one cycle's rate over all its nodes.
+
+        Dropped packets over packets offered to the collectors' CPUs,
+        each summed over the cycle's polls; a cycle that offered none
+        leaves the gauge as it was.
+        """
+        dropped = sum(r.snapshot["dropped_packets"] for r in polls)
+        offered = dropped + sum(r.snapshot["characterized_packets"] for r in polls)
+        if offered:
+            self.obs.gauge("netmon_drop_rate").set(dropped / offered)
 
     def node_series(self, node: str) -> List[PollRecord]:
         """All poll records of one node, in cycle order."""

@@ -95,8 +95,9 @@ class _WindowTarget:
         self.sampled = RunningHistogram(bins.edges)
 
     def reset(self) -> None:
-        self.parent = RunningHistogram(self.bins.edges)
-        self.sampled = RunningHistogram(self.bins.edges)
+        # A closed window keeps only its scores, never these arrays.
+        self.parent.counts[:] = 0
+        self.sampled.counts[:] = 0
 
 
 class QualityMonitor:

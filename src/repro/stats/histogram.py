@@ -34,15 +34,26 @@ def bin_counts(values: Sequence[float], edges: Sequence[float]) -> np.ndarray:
     the bins are the differences of those totals: with a handful of
     edges that beats a binary search per value plus ``np.bincount``.
     """
+    return _edge_counts(values, _validated_edges(edges))
+
+
+def _edge_counts(values: Sequence[float], edge_arr: np.ndarray) -> np.ndarray:
+    """:func:`bin_counts` over edges already validated into ``edge_arr``.
+
+    For holders that validated their edges once, when they were built.
+    """
     arr = np.asarray(values, dtype=np.float64)
-    edge_arr = _validated_edges(edges)
     below = [np.count_nonzero(arr < edge) for edge in edge_arr.tolist()]
     return np.diff(np.array([0, *below, arr.size], dtype=np.int64))
 
 
 def bin_proportions(values: Sequence[float], edges: Sequence[float]) -> np.ndarray:
     """Proportion of the sample in each bin; errors on empty input."""
-    counts = bin_counts(values, edges)
+    return count_proportions(bin_counts(values, edges))
+
+
+def count_proportions(counts: np.ndarray) -> np.ndarray:
+    """Per-bin counts as proportions of their total; errors on empty input."""
     total = counts.sum()
     if total == 0:
         raise ValueError("cannot compute proportions of an empty sample")

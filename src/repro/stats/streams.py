@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.stats.histogram import _validated_edges, bin_counts
+from repro.stats.histogram import _edge_counts, _validated_edges
 
 
 class RunningStats:
@@ -282,8 +282,8 @@ class RunningHistogram:
         self.counts[index] += 1
 
     def update_many(self, values: Sequence[float]) -> None:
-        """Count a batch through the batch kernel, :func:`bin_counts`."""
-        self.counts += bin_counts(values, self.edges)
+        """Count a batch with the batch kernel, over the edges validated at build."""
+        self.counts += _edge_counts(values, self.edges)
 
     def merge(self, other: "RunningHistogram") -> "RunningHistogram":
         """Exact combination of two streams' histograms."""

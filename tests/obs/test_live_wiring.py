@@ -74,6 +74,22 @@ class TestCollectionAgentTelemetry:
         (poll,) = [e for e in obs.events if e["kind"] == "poll"]
         assert (poll["examined"], poll["dropped"]) == (200, 800)
 
+    def test_drop_rate_is_the_cycles_over_all_nodes(self):
+        """A node dropping 800 of 1,000 offered packets is polled before
+        one dropping none: the cycle dropped 800 of 2,000."""
+        lossy = nnstat_node("lossy", capacity_pps=100, granularity=2)
+        ample = nnstat_node("ample", capacity_pps=10_000, granularity=2)
+        obs = Instrumentation()
+        agent = CollectionAgent([lossy, ample], poll_period_s=2, obs=obs)
+        traffic = steady_trace(n=2000, iat_us=1000)
+        records = agent.run({"lossy": {"t1": traffic}, "ample": {"t1": traffic}})
+        assert [(r.node, r.snapshot["dropped_packets"]) for r in records] == [
+            ("lossy", 800),
+            ("ample", 0),
+        ]
+        assert obs.counter("netmon_examined_packets").value == 1200
+        assert obs.gauge("netmon_drop_rate").value == pytest.approx(0.4)
+
     def test_poll_events_mirror_the_records(self):
         obs = Instrumentation()
         records = self.overloaded_run(obs)
